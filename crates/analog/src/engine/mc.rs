@@ -5,7 +5,7 @@ use super::compiled::CompiledModel;
 use super::session::Session;
 use crate::montecarlo::{McConfig, McResult};
 use cn_data::Dataset;
-use cn_tensor::parallel::num_threads;
+use cn_tensor::parallel::{num_threads, parallel_chunks_mut};
 use cn_tensor::SeededRng;
 use std::sync::Arc;
 
@@ -15,9 +15,10 @@ use std::sync::Arc;
 ///
 /// Sample `i` draws from the independent RNG stream
 /// `SeededRng::new(cfg.seed).fork(i)`, so results are deterministic in
-/// `cfg.seed` and independent of the worker thread count. Each worker
-/// keeps one [`Session`] and rebinds it per instance, reusing the batch
-/// scratch across the whole run. This reproduces the results of the
+/// `cfg.seed` and independent of the worker thread count. Samples fan
+/// out over [`parallel_chunks_mut`] workers; each keeps one [`Session`]
+/// and rebinds it per instance, reusing the batch scratch across its
+/// samples. This reproduces the results of the
 /// removed legacy `mc_accuracy` / `mc_accuracy_mode` /
 /// `mc_accuracy_from_layer` / `mc_with` free functions bit for bit
 /// (pair this entry point with the matching backend).
@@ -48,45 +49,25 @@ pub fn monte_carlo(
 ) -> McResult {
     assert!(cfg.samples > 0, "need at least one Monte-Carlo sample");
     let nominal = Arc::new(model.clone());
-    let workers = num_threads().min(cfg.samples);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    // Workers write disjoint sample indices, so results are gathered
-    // lock-free: each worker accumulates (index, accuracy) pairs locally
-    // and the driver scatters them after the joins.
+    // One contiguous block of samples per worker, each worker keeping one
+    // session across its block. Kernels called from the workers run
+    // inline (`cn_tensor::parallel` is one level deep).
+    let per_worker = cfg.samples.div_ceil(num_threads());
     let mut results = vec![0.0f32; cfg.samples];
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let nominal = &nominal;
-                scope.spawn(move || {
-                    let mut session: Option<Session> = None;
-                    let mut local: Vec<(usize, f32)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= cfg.samples {
-                            break;
-                        }
-                        let mut rng = SeededRng::new(cfg.seed).fork(i as u64);
-                        let compiled =
-                            CompiledModel::compile_shared(nominal, backend, &mut rng).shared();
-                        let session = match &mut session {
-                            Some(s) => {
-                                s.rebind(compiled);
-                                s
-                            }
-                            none => none.insert(Session::new(compiled)),
-                        };
-                        local.push((i, session.evaluate(data, cfg.batch_size)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, accuracy) in handle.join().expect("Monte-Carlo worker panicked") {
-                results[i] = accuracy;
-            }
+    parallel_chunks_mut(&mut results, per_worker, |block, slots| {
+        let mut session: Option<Session> = None;
+        for (j, slot) in slots.iter_mut().enumerate() {
+            let i = block * per_worker + j;
+            let mut rng = SeededRng::new(cfg.seed).fork(i as u64);
+            let compiled = CompiledModel::compile_shared(&nominal, backend, &mut rng).shared();
+            let session = match &mut session {
+                Some(s) => {
+                    s.rebind(compiled);
+                    s
+                }
+                none => none.insert(Session::new(compiled)),
+            };
+            *slot = session.evaluate(data, cfg.batch_size);
         }
     });
     McResult::from_accuracies(results)
@@ -99,8 +80,8 @@ mod tests {
     use cn_data::synthetic_mnist;
     use cn_nn::zoo::{lenet5, LeNetConfig};
 
-    /// Regression for the lock-free result gather: every sample slot must
-    /// be written exactly by its own instance. Under the exact digital
+    /// Every sample slot must be written exactly by its own instance,
+    /// including a ragged last worker block. Under the exact digital
     /// backend all instances are identical, so any dropped slot would show
     /// up as a default 0.0 among otherwise-equal accuracies.
     #[test]

@@ -34,7 +34,7 @@ pub struct AllocProfile;
 
 /// Steady-state rounds measured per path (after warmup).
 const ROUNDS: u64 = 16;
-/// Warmup rounds: plan + arena + staging growth, outside the contract.
+/// Warmup rounds: plan + kernel scratch + staging growth, outside the contract.
 const WARMUP: usize = 4;
 
 /// The calling thread's allocation counter. Resolved once so the

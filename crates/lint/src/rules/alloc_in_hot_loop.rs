@@ -2,7 +2,7 @@
 //! or inference loop.
 //!
 //! PR 10 made the serving hot path allocation-free end to end: sessions
-//! plan their scratch once per deployment shape (`ShapePlan` + arena),
+//! plan their scratch once per deployment shape (`ShapePlan` + ping-pong activations),
 //! workers stage batches and recycle reply buffers, handlers reuse
 //! frame-encode scratch — and counting-allocator regression tests pin
 //! **zero heap allocations per request** in steady state. An innocent
@@ -119,7 +119,7 @@ fn check_alloc_at(file: &SourceFile, j: usize, sink: &mut Sink<'_>) {
             j,
             "heap allocation in a zero-alloc hot loop: this path is covered by the \
              counting-allocator regression tests (zero allocations per request in steady \
-             state); reuse the planned scratch (arena, staging buffers, pooled replies), \
+             state); reuse the planned scratch (activations, staging buffers, pooled replies), \
              or suppress with an argument for why this allocation is warmup/once-per-\
              deployment rather than per-request",
         );

@@ -1,7 +1,6 @@
 //! The layer abstraction.
 
 use crate::param::Param;
-use cn_tensor::alloc::Arena;
 use cn_tensor::ops::Activation;
 use cn_tensor::Tensor;
 
@@ -107,9 +106,9 @@ pub trait Layer: Send + Sync {
 
     /// Allocation-free [`infer`](Layer::infer) into a recycled output
     /// tensor: reshape `out` in place (its capacity is reused), write
-    /// the result, draw any internal scratch from `arena`, and return
-    /// `true`. Returning `false` (the default) tells the caller to fall
-    /// back to the allocating [`infer`](Layer::infer) path.
+    /// the result and return `true`. Returning `false` (the default)
+    /// tells the caller to fall back to the allocating
+    /// [`infer`](Layer::infer) path.
     ///
     /// `act` is a trailing activation the caller wants fused into the
     /// writeback (the `<layer> → Relu` peephole): implementations must
@@ -119,29 +118,20 @@ pub trait Layer: Send + Sync {
     /// `Activation::Identity` the output contract is exactly
     /// [`infer`](Layer::infer)'s.
     ///
-    /// Implementations may only allocate through `arena` (or not at
-    /// all) once `out`'s capacity and the arena have warmed up — this is
-    /// what makes steady-state `Sequential::infer_with` heap-silent.
-    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor, arena: &Arena) -> bool {
-        let _ = (x, act, out, arena);
+    /// Implementations must not allocate once `out`'s capacity (and any
+    /// per-thread kernel scratch) has warmed up — this is what makes
+    /// steady-state `Sequential::infer_with` heap-silent.
+    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) -> bool {
+        let _ = (x, act, out);
         false
     }
 
-    /// Bytes of [`Arena`] scratch one [`infer_into`](Layer::infer_into)
-    /// call draws for an input of shape `in_dims` — used by
-    /// [`crate::ShapePlan`] to size a session's arena exactly. Must
-    /// account every `alloc_f32` at [`Arena::f32_slot_bytes`]
-    /// granularity. Layers that never touch the arena keep the default
-    /// zero.
-    fn infer_scratch_bytes(&self, in_dims: &[usize]) -> usize {
-        let _ = in_dims;
-        0
-    }
-
     /// Packs the layer's frozen *effective* weights into the GEMM panel
-    /// layout ([`cn_tensor::ops::PackedB`]) consumed by the inference hot
-    /// path, so repeated [`infer`](Layer::infer) calls skip the per-call
-    /// repack of row-major weights.
+    /// layout consumed by the inference hot path
+    /// ([`cn_tensor::ops::PackedB`] for dense layers,
+    /// [`cn_tensor::ops::PackedA`] for convolutions), so repeated
+    /// [`infer`](Layer::infer) calls skip the per-call repack of
+    /// row-major weights.
     ///
     /// This is a deployment-time hook: compiled snapshots call it once
     /// after programming (mask install / bake / finalize). Packed panels

@@ -1,11 +1,11 @@
-//! 2-D convolution via im2col lowering, with analog weight-noise support.
+//! 2-D convolution through the fused-gather GEMM micro-kernel, with analog
+//! weight-noise support.
 
 use crate::init::{bias_uniform, kaiming_uniform};
 use crate::layer::Layer;
 use crate::param::Param;
 use cn_tensor::ops::{
-    col2im, gemm_into, im2col, im2col_into, nchw_to_rows, rows_to_nchw, rows_to_nchw_into,
-    Activation, Conv2dGeometry, Epilogue, Layout, PackedB,
+    col2im, conv2d_into, im2col, nchw_to_rows, Activation, Conv2dGeometry, PackedA,
 };
 use cn_tensor::{SeededRng, Tensor};
 use std::sync::Arc;
@@ -17,8 +17,9 @@ use std::sync::Arc;
 /// the paper's eq. 9–11 constrains). Weights are analog-mapped and accept a
 /// multiplicative noise mask shaped like the kernel.
 ///
-/// To bound training memory the backward pass re-runs `im2col` on the
-/// cached input instead of caching the (much larger) patch matrix.
+/// The forward pass runs [`conv2d_into`], which never materializes the
+/// patch matrix. The backward pass needs it for the weight gradient and
+/// re-runs `im2col` on the cached input rather than caching it.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     name: String,
@@ -29,7 +30,7 @@ pub struct Conv2d {
     noise: Option<Tensor>,
     cache_x: Option<Tensor>,
     cache_geo: Option<Conv2dGeometry>,
-    packed: Option<Arc<PackedB>>,
+    packed: Option<Arc<PackedA>>,
 }
 
 impl Conv2d {
@@ -125,28 +126,36 @@ impl Conv2d {
         w.into_reshaped(&[oc, cols])
     }
 
-    /// The shared forward computation (used by `forward`, `infer` and the
-    /// fused ReLU inference path): im2col patches through the fused GEMM
-    /// epilogue (`cols·Wᵀ_eff + b`, optional ReLU), reusing pre-packed
-    /// weight panels when present. Fusing the activation at the patch-row
-    /// stage is bitwise identical to applying it after `rows_to_nchw` —
-    /// both are the same elementwise op, and the reshape only moves bits.
-    fn apply_act(&self, x: &Tensor, geo: &Conv2dGeometry, act: Activation) -> Tensor {
-        let cols = im2col(x, geo);
-        let y_rows = super::matrix_infer_act(
-            &cols,
-            self.packed.as_deref(),
-            || self.effective_weight_matrix(),
-            &self.b.value,
-            act,
-        );
-        rows_to_nchw(
-            &y_rows,
-            x.dims()[0],
-            self.out_channels(),
-            geo.out_h(),
-            geo.out_w(),
-        )
+    /// The effective weights as `MR`-row GEMM panels.
+    fn pack_effective(&self) -> PackedA {
+        let w = self.effective_weight_matrix();
+        PackedA::pack(w.data(), w.dims()[0], w.dims()[1])
+    }
+
+    /// `act(conv(x, W_eff) + b)` into `out` through [`conv2d_into`],
+    /// reusing pre-packed weight panels when present (packing per
+    /// call otherwise — training, or an undeployed model).
+    fn conv_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) {
+        self.check_input(x);
+        let geo = self.geometry(x);
+        out.resize_in_place(&[x.dims()[0], self.out_channels(), geo.out_h(), geo.out_w()]);
+        let per_call;
+        let packed = match self.packed.as_deref() {
+            Some(p) => p,
+            None => {
+                per_call = self.pack_effective();
+                &per_call
+            }
+        };
+        conv2d_into(out.data_mut(), x, &geo, packed, self.b.value.data(), act);
+    }
+
+    /// The shared forward computation of `forward`, `infer` and the fused
+    /// ReLU inference path.
+    fn apply_act(&self, x: &Tensor, act: Activation) -> Tensor {
+        let mut out = Tensor::zeros(&[0]);
+        self.conv_into(x, act, &mut out);
+        out
     }
 
     fn check_input(&self, x: &Tensor) {
@@ -168,85 +177,28 @@ impl Layer for Conv2d {
     }
 
     fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        self.check_input(x);
-        let geo = self.geometry(x);
-        let y = self.apply_act(x, &geo, Activation::Identity);
+        let y = self.apply_act(x, Activation::Identity);
         self.cache_x = Some(x.clone());
-        self.cache_geo = Some(geo);
+        self.cache_geo = Some(self.geometry(x));
         y
     }
 
     fn infer(&self, x: &Tensor) -> Tensor {
-        self.check_input(x);
-        self.apply_act(x, &self.geometry(x), Activation::Identity)
+        self.apply_act(x, Activation::Identity)
     }
 
     fn infer_fused_relu(&self, x: &Tensor) -> Option<Tensor> {
-        self.check_input(x);
-        Some(self.apply_act(x, &self.geometry(x), Activation::Relu))
+        Some(self.apply_act(x, Activation::Relu))
     }
 
-    fn infer_into(
-        &self,
-        x: &Tensor,
-        act: Activation,
-        out: &mut Tensor,
-        arena: &cn_tensor::alloc::Arena,
-    ) -> bool {
-        // Only deployed (pre-packed) convolutions have an allocation-free
-        // path; unpacked layers fall back to the allocating `infer`.
-        let Some(packed) = self.packed.as_deref() else {
+    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) -> bool {
+        // Only deployed (pre-packed) convolutions are allocation-free;
+        // unpacked layers fall back to the allocating `infer`.
+        if self.packed.is_none() {
             return false;
-        };
-        self.check_input(x);
-        let geo = self.geometry(x);
-        let batch = x.dims()[0];
-        let rows = batch * geo.patches_per_sample();
-        let out_c = self.out_channels();
-
-        let mut cols = arena.alloc_f32(rows * geo.patch_len());
-        im2col_into(x, &geo, &mut cols);
-        let mut y_rows = arena.alloc_f32(rows * out_c);
-        let epilogue = match act {
-            Activation::Identity => Epilogue::Bias(self.b.value.data()),
-            Activation::Relu => Epilogue::BiasRelu(self.b.value.data()),
-        };
-        gemm_into(
-            &mut y_rows,
-            rows,
-            out_c,
-            &cols,
-            Layout::RowMajor,
-            packed,
-            epilogue,
-        );
-        out.resize_in_place(&[batch, out_c, geo.out_h(), geo.out_w()]);
-        rows_to_nchw_into(
-            &y_rows,
-            batch,
-            out_c,
-            geo.out_h(),
-            geo.out_w(),
-            out.data_mut(),
-        );
+        }
+        self.conv_into(x, act, out);
         true
-    }
-
-    fn infer_scratch_bytes(&self, in_dims: &[usize]) -> usize {
-        use cn_tensor::alloc::Arena;
-        assert_eq!(in_dims.len(), 4, "Conv2d expects NCHW input dims");
-        let geo = Conv2dGeometry {
-            in_c: self.in_channels(),
-            in_h: in_dims[2],
-            in_w: in_dims[3],
-            kh: self.kernel(),
-            kw: self.kernel(),
-            stride: self.stride,
-            pad: self.pad,
-        };
-        let rows = in_dims[0] * geo.patches_per_sample();
-        Arena::f32_slot_bytes(rows * geo.patch_len())
-            + Arena::f32_slot_bytes(rows * self.out_channels())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -257,10 +209,13 @@ impl Layer for Conv2d {
         let geo = self.cache_geo.take().expect("geometry cache missing");
         let batch = x.dims()[0];
         let g_rows = nchw_to_rows(grad_out);
-        let cols = im2col(&x, &geo);
 
-        // dW = g_rowsᵀ·cols, chained through the noise mask.
-        let mut dw = g_rows.t_matmul(&cols).into_reshaped(self.w.value.dims());
+        // dW = g_rowsᵀ·cols, chained through the noise mask. The patch
+        // matrix is freed before `dcols` (the same size) is allocated, so
+        // the two never coexist and the allocator can reuse the memory.
+        let mut dw = g_rows
+            .t_matmul(&im2col(&x, &geo))
+            .into_reshaped(self.w.value.dims());
         if let Some(mask) = &self.noise {
             dw = dw.zip_map(mask, |g, m| g * m);
         }
@@ -308,13 +263,7 @@ impl Layer for Conv2d {
     }
 
     fn pack_weights(&mut self) {
-        // The unfolded [out_c, in_c·k·k] kernel plays `Wᵀ` against the
-        // im2col patch rows, i.e. transposed storage of the logical
-        // [in_c·k·k, out_c] right operand.
-        self.packed = Some(Arc::new(PackedB::from_tensor(
-            &self.effective_weight_matrix(),
-            Layout::Transposed,
-        )));
+        self.packed = Some(Arc::new(self.pack_effective()));
     }
 
     fn lipschitz_matrix(&self) -> Option<Tensor> {

@@ -119,13 +119,7 @@ impl Layer for Dense {
         Some(self.apply_act(x, Activation::Relu))
     }
 
-    fn infer_into(
-        &self,
-        x: &Tensor,
-        act: Activation,
-        out: &mut Tensor,
-        _arena: &cn_tensor::alloc::Arena,
-    ) -> bool {
+    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) -> bool {
         assert_eq!(x.rank(), 2, "Dense expects [N, in] input");
         assert_eq!(
             x.dims()[1],

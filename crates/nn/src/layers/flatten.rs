@@ -34,13 +34,7 @@ impl Layer for Flatten {
         x.reshape(&[n, rest])
     }
 
-    fn infer_into(
-        &self,
-        x: &Tensor,
-        act: cn_tensor::ops::Activation,
-        out: &mut Tensor,
-        _arena: &cn_tensor::alloc::Arena,
-    ) -> bool {
+    fn infer_into(&self, x: &Tensor, act: cn_tensor::ops::Activation, out: &mut Tensor) -> bool {
         if act != cn_tensor::ops::Activation::Identity {
             return false;
         }

@@ -22,8 +22,7 @@ use cn_tensor::ops::gemm::{gemm_bias_act_into, MR};
 use cn_tensor::ops::{gemm_bias_act, Activation, Layout, PackedB};
 use cn_tensor::Tensor;
 
-/// Shared `act(x·Wᵀ_eff + bias)` dispatch for the matrix-backed layers
-/// (`Dense`, and `Conv2d` over its im2col patch rows):
+/// `Dense`'s `act(x·Wᵀ_eff + bias)` dispatch:
 ///
 /// 1. pre-packed panels when the layer was deployed via `pack_weights`,
 /// 2. a direct skinny product when `x` has fewer than `MR` rows (the

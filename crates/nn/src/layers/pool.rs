@@ -1,7 +1,6 @@
 //! Pooling layers.
 
 use crate::layer::Layer;
-use cn_tensor::alloc::Arena;
 use cn_tensor::ops::{
     avg_pool2d, avg_pool2d_backward, avg_pool2d_into, max_pool2d, max_pool2d_backward,
     max_pool2d_into, Activation, PoolGeometry,
@@ -40,7 +39,7 @@ impl Layer for MaxPool2d {
         max_pool2d(x, self.geo).0
     }
 
-    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor, _arena: &Arena) -> bool {
+    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) -> bool {
         // No fused activation: pooling is not followed by an epilogue in
         // any planned model, so only the identity contract is claimed.
         if act != Activation::Identity {
@@ -102,7 +101,7 @@ impl Layer for AvgPool2d {
         avg_pool2d(x, self.geo)
     }
 
-    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor, _arena: &Arena) -> bool {
+    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) -> bool {
         if act != Activation::Identity {
             return false;
         }

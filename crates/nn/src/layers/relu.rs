@@ -34,13 +34,7 @@ impl Layer for Relu {
         x.map(|v| v.max(0.0))
     }
 
-    fn infer_into(
-        &self,
-        x: &Tensor,
-        act: cn_tensor::ops::Activation,
-        out: &mut Tensor,
-        _arena: &cn_tensor::alloc::Arena,
-    ) -> bool {
+    fn infer_into(&self, x: &Tensor, act: cn_tensor::ops::Activation, out: &mut Tensor) -> bool {
         // A trailing fused ReLU is not this layer's business — decline
         // so the caller keeps the exact unfused sequence.
         if act != cn_tensor::ops::Activation::Identity {

@@ -4,7 +4,7 @@
 //! [`cn_tensor`], providing everything the CorrectNet reproduction trains:
 //!
 //! - layers with cached-activation backward passes ([`layers`]): dense,
-//!   conv2d (im2col), ReLU, max/avg pooling, flatten, dropout, batch norm,
+//!   conv2d, ReLU, max/avg pooling, flatten, dropout, batch norm,
 //! - fused softmax–cross-entropy loss ([`loss`]),
 //! - SGD with momentum and Adam ([`optim`]),
 //! - a [`Sequential`] container with state-dict serialization,

@@ -117,8 +117,8 @@ impl Sequential {
     /// allocation-free steady-state entry point.
     ///
     /// Layers that implement [`Layer::infer_into`] write into the
-    /// scratch's ping-pong activation tensors and draw temporaries from
-    /// its arena; layers without an into-path fall back to the allocating
+    /// scratch's ping-pong activation tensors; layers without an
+    /// into-path fall back to the allocating
     /// [`Layer::infer`] (warmup and exotic layers only — the deployed
     /// dense/conv stacks cover every step). The `<layer> → Relu` fusion
     /// peephole of [`infer`](Self::infer) is preserved, and the result is
@@ -127,15 +127,8 @@ impl Sequential {
     ///
     /// The returned reference borrows from `scratch`; copy it out (or
     /// consume it) before the next call overwrites the buffers.
-    ///
-    /// # Panics
-    ///
-    /// Panics with "arena overflow" if `scratch`'s arena is smaller than
-    /// the model's temporaries at this input shape (i.e. the
-    /// [`ShapePlan`] used to size it did not cover `x`).
     pub fn infer_with<'s>(&self, x: &Tensor, scratch: &'s mut InferScratch) -> &'s Tensor {
-        scratch.arena.reset();
-        let InferScratch { ping, pong, arena } = scratch;
+        let InferScratch { ping, pong } = scratch;
         let mut src: &mut Tensor = ping;
         let mut dst: &mut Tensor = pong;
         let mut first = true;
@@ -149,7 +142,7 @@ impl Sequential {
                 .is_some_and(|l| l.as_any().is::<Relu>());
             let mut fused = false;
             if relu_next {
-                if layer.infer_into(input, Activation::Relu, dst, arena) {
+                if layer.infer_into(input, Activation::Relu, dst) {
                     fused = true;
                 } else if let Some(y) = layer.infer_fused_relu(input) {
                     // Allocating fused fallback (unpacked layers).
@@ -159,7 +152,7 @@ impl Sequential {
             }
             if fused {
                 i += 2;
-            } else if layer.infer_into(input, Activation::Identity, dst, arena) {
+            } else if layer.infer_into(input, Activation::Identity, dst) {
                 i += 1;
             } else {
                 *dst = layer.infer(input);
@@ -188,15 +181,13 @@ impl Sequential {
         assert!(max_batch > 0, "shape plan needs a positive max batch");
         let mut dims = vec![max_batch];
         dims.extend_from_slice(sample_dims);
-        let mut arena_bytes = 0usize;
         let mut peak = 0usize;
         let mut cur = Tensor::zeros(&dims);
         for layer in &self.layers {
-            arena_bytes += layer.infer_scratch_bytes(cur.dims());
             cur = layer.infer(&cur);
             peak = peak.max(cur.numel());
         }
-        ShapePlan::new(max_batch, sample_dims, peak, arena_bytes)
+        ShapePlan::new(max_batch, sample_dims, peak)
     }
 
     /// Runs the forward pass, returning every intermediate activation
@@ -597,12 +588,6 @@ mod tests {
         assert!(!plan.covers(&[8, 6, 6]));
         // Peak activation is the conv output [8, 4, 6, 6].
         assert_eq!(plan.peak_activation_elems(), 8 * 4 * 6 * 6);
-        // Arena holds the conv's im2col patches and GEMM rows; dense and
-        // relu layers add nothing (the packed dense writes straight into
-        // the ping-pong tensor).
-        let l = m.layer(0);
-        assert_eq!(plan.arena_bytes(), l.infer_scratch_bytes(&[8, 1, 6, 6]));
-        assert!(plan.arena_bytes() > 0);
     }
 
     #[test]

@@ -1,22 +1,21 @@
 //! Shape planning and reusable inference scratch.
 //!
 //! A compiled deployment knows its input shape and maximum batch size up
-//! front, so every intermediate buffer the inference pass needs — layer
-//! activations, im2col patch matrices, GEMM row outputs — can be sized
-//! once and reused forever. [`ShapePlan`] records those sizes (computed by
-//! a dry run over zeros at the maximum batch); [`InferScratch`] owns the
-//! memory the plan calls for: two ping-pong activation tensors and a bump
-//! [`Arena`] for per-layer temporaries. [`crate::Sequential::infer_with`]
-//! threads them through the layer stack so the steady state performs zero
-//! heap allocations per call.
+//! front, so every layer activation the inference pass produces can be
+//! sized once and reused forever. [`ShapePlan`] records the peak size
+//! (computed by a dry run over zeros at the maximum batch);
+//! [`InferScratch`] owns the memory the plan calls for: two ping-pong
+//! activation tensors. Layers write straight into them (the GEMM and
+//! convolution kernels keep their packing scratch per thread), and
+//! [`crate::Sequential::infer_with`] threads them through the layer stack
+//! so the steady state performs zero heap allocations per call.
 
-use cn_tensor::alloc::Arena;
 use cn_tensor::Tensor;
 
 /// Exact scratch requirements of one model at one deployment shape.
 ///
 /// Sizes are computed at `max_batch` and are valid upper bounds for every
-/// smaller batch: activation and im2col sizes scale linearly with the
+/// smaller batch: activation sizes scale linearly with the
 /// batch dimension, so a plan sized for `max_batch` covers all
 /// `1..=max_batch` inferences.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,7 +23,6 @@ pub struct ShapePlan {
     max_batch: usize,
     sample_dims: Vec<usize>,
     peak_activation_elems: usize,
-    arena_bytes: usize,
 }
 
 impl ShapePlan {
@@ -32,13 +30,11 @@ impl ShapePlan {
         max_batch: usize,
         sample_dims: &[usize],
         peak_activation_elems: usize,
-        arena_bytes: usize,
     ) -> Self {
         ShapePlan {
             max_batch,
             sample_dims: sample_dims.to_vec(),
             peak_activation_elems,
-            arena_bytes,
         }
     }
 
@@ -58,13 +54,6 @@ impl ShapePlan {
         self.peak_activation_elems
     }
 
-    /// Total arena bytes the layer stack's temporaries need for one full
-    /// pass (the sum of every layer's
-    /// [`crate::Layer::infer_scratch_bytes`], at arena slot granularity).
-    pub fn arena_bytes(&self) -> usize {
-        self.arena_bytes
-    }
-
     /// True when an input of `dims` fits this plan: same per-sample dims
     /// and a batch of at most [`max_batch`](Self::max_batch).
     pub fn covers(&self, dims: &[usize]) -> bool {
@@ -77,31 +66,24 @@ impl ShapePlan {
 /// The memory a [`ShapePlan`] calls for, owned by one inference session.
 ///
 /// Holds two activation tensors (layers write into one while reading the
-/// other; [`crate::Sequential::infer_with`] swaps them between layers) and
-/// the bump arena for intra-layer temporaries. Construct via
+/// other; [`crate::Sequential::infer_with`] swaps them between layers).
+/// Construct via
 /// [`InferScratch::from_plan`] so every buffer is warmed to its high-water
 /// size; after the first pass, reuse is allocation-free.
 #[derive(Debug)]
 pub struct InferScratch {
     pub(crate) ping: Tensor,
     pub(crate) pong: Tensor,
-    pub(crate) arena: Arena,
 }
 
 impl InferScratch {
     /// Allocates scratch sized by `plan`: both ping-pong tensors at the
-    /// peak activation size and the arena at the summed temporary size.
+    /// peak activation size.
     pub fn from_plan(plan: &ShapePlan) -> Self {
         let elems = plan.peak_activation_elems.max(1);
         InferScratch {
             ping: Tensor::zeros(&[elems]),
             pong: Tensor::zeros(&[elems]),
-            arena: Arena::with_capacity(plan.arena_bytes),
         }
-    }
-
-    /// The temporaries arena (for capacity/high-water introspection).
-    pub fn arena(&self) -> &Arena {
-        &self.arena
     }
 }

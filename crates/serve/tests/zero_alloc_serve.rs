@@ -60,7 +60,7 @@ fn steady_state_worker_loop_allocates_nothing() {
         }
     };
 
-    // Warmup: session plan + arena, batch staging, reply-width publish,
+    // Warmup: session plan + kernel scratch, batch staging, reply-width publish,
     // GEMM panel scratch — all grown here, outside the contract.
     for _ in 0..4 {
         round();

@@ -1,309 +1,35 @@
-//! The allocator layer: where every hot-path buffer comes from.
+//! Allocation accounting for the allocation-free hot paths.
 //!
 //! Analog-CIM serving is digital orchestration around a *fixed* compiled
 //! deployment — every tensor shape is known before the first request
-//! arrives — so steady-state inference never needs a dynamic allocator.
-//! This module provides the three pieces the rest of the workspace plans
-//! its memory with:
-//!
-//! - [`TensorAllocator`]: the raw-region allocation trait (a default
-//!   [`GlobalAllocator`] over `std::alloc`, and a [`CountingAllocator`]
-//!   that counts every call for tests and benches),
-//! - [`Arena`]: a per-worker bump/recycle allocator handing out disjoint
-//!   zeroed `f32` scratch buffers ([`ArenaBuf`]) that are all reclaimed
-//!   at once by [`Arena::reset`] at the next batch boundary,
-//! - [`CountingHeap`]: a `#[global_allocator]` wrapper over the system
-//!   heap with per-thread counters, used by the zero-allocation
-//!   regression tests and the `alloc_profile` bench experiment to prove
-//!   that a steady-state request performs **no** heap allocations.
+//! arrives — so steady-state inference never needs to touch the heap.
+//! [`CountingHeap`] is the instrument that proves it: a
+//! `#[global_allocator]` wrapper over the system heap with per-thread
+//! counters, used by the zero-allocation regression tests and the
+//! `alloc_profile` bench experiment to show that a steady-state request
+//! performs **no** heap allocations.
 //!
 //! # Example
 //!
 //! ```
-//! use cn_tensor::alloc::Arena;
+//! use cn_tensor::alloc::CountingHeap;
 //!
-//! let mut arena = Arena::with_capacity(Arena::f32_slot_bytes(128));
-//! {
-//!     let buf = arena.alloc_f32(128);
-//!     assert!(buf.iter().all(|&v| v == 0.0));
+//! #[global_allocator]
+//! static HEAP: CountingHeap = CountingHeap::new();
+//!
+//! fn main() {
+//!     assert!(CountingHeap::is_counting());
+//!     let before = CountingHeap::thread_allocs();
+//!     let buf: Vec<f32> = Vec::with_capacity(16);
+//!     std::hint::black_box(&buf);
+//!     assert_eq!(CountingHeap::thread_allocs(), before + 1);
 //! }
-//! arena.reset(); // reclaims everything; no heap traffic
-//! assert_eq!(arena.used(), 0);
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::marker::PhantomData;
-use std::ops::{Deref, DerefMut};
-use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// Alignment (bytes) of every arena slab and every buffer carved from
-/// one — a cache line, so adjacent scratch buffers never false-share.
-pub const ARENA_ALIGN: usize = 64;
-
-/// A raw-region tensor allocator: the seam between tensor memory and
-/// whatever backs it.
-///
-/// Implementations must behave like `std::alloc`: `alloc` either returns
-/// memory valid for `layout` or panics/aborts (no null returns), and
-/// `dealloc` accepts exactly what `alloc` handed out.
-pub trait TensorAllocator: std::fmt::Debug + Send + Sync {
-    /// Allocates a region for `layout`, aborting on exhaustion (like the
-    /// global allocator).
-    fn alloc(&self, layout: Layout) -> NonNull<u8>;
-
-    /// Releases a region previously returned by [`alloc`](Self::alloc).
-    ///
-    /// # Safety
-    ///
-    /// `ptr` must have come from `self.alloc(layout)` with this exact
-    /// `layout`, and must not be used afterwards.
-    unsafe fn dealloc(&self, ptr: NonNull<u8>, layout: Layout);
-}
-
-/// The default [`TensorAllocator`]: a thin veneer over `std::alloc`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GlobalAllocator;
-
-impl TensorAllocator for GlobalAllocator {
-    fn alloc(&self, layout: Layout) -> NonNull<u8> {
-        assert!(layout.size() > 0, "zero-size region");
-        // SAFETY: layout has non-zero size (asserted above).
-        let ptr = unsafe { std::alloc::alloc(layout) };
-        match NonNull::new(ptr) {
-            Some(p) => p,
-            None => std::alloc::handle_alloc_error(layout),
-        }
-    }
-
-    unsafe fn dealloc(&self, ptr: NonNull<u8>, layout: Layout) {
-        // SAFETY: caller contract — ptr came from `alloc(layout)`.
-        unsafe { std::alloc::dealloc(ptr.as_ptr(), layout) }
-    }
-}
-
-/// Shared counters behind a [`CountingAllocator`].
-#[derive(Debug, Default)]
-struct CountingStats {
-    allocs: AtomicU64,
-    deallocs: AtomicU64,
-    bytes: AtomicU64,
-}
-
-/// A [`TensorAllocator`] that counts every call on its way to the global
-/// heap — the test/bench seam for asserting how often a component really
-/// allocates.
-///
-/// Clones share one set of counters.
-#[derive(Debug, Clone, Default)]
-pub struct CountingAllocator {
-    stats: Arc<CountingStats>,
-}
-
-impl CountingAllocator {
-    /// A fresh counting allocator with zeroed counters.
-    pub fn new() -> CountingAllocator {
-        CountingAllocator::default()
-    }
-
-    /// Number of `alloc` calls so far.
-    pub fn allocs(&self) -> u64 {
-        self.stats.allocs.load(Ordering::Relaxed)
-    }
-
-    /// Number of `dealloc` calls so far.
-    pub fn deallocs(&self) -> u64 {
-        self.stats.deallocs.load(Ordering::Relaxed)
-    }
-
-    /// Total bytes requested across all `alloc` calls.
-    pub fn bytes(&self) -> u64 {
-        self.stats.bytes.load(Ordering::Relaxed)
-    }
-}
-
-impl TensorAllocator for CountingAllocator {
-    fn alloc(&self, layout: Layout) -> NonNull<u8> {
-        self.stats.allocs.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes
-            .fetch_add(layout.size() as u64, Ordering::Relaxed);
-        GlobalAllocator.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: NonNull<u8>, layout: Layout) {
-        self.stats.deallocs.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: forwarded caller contract.
-        unsafe { GlobalAllocator.dealloc(ptr, layout) }
-    }
-}
-
-fn align_up(v: usize, align: usize) -> usize {
-    v.div_ceil(align) * align
-}
-
-/// A bump/recycle scratch arena: one slab allocated up front (sized by a
-/// shape plan), carved into disjoint zeroed `f32` buffers per request,
-/// reclaimed wholesale by [`reset`](Arena::reset) at the next batch
-/// boundary. Steady-state use touches the heap **zero** times.
-///
-/// Buffers are handed out through [`ArenaBuf`], which borrows the arena
-/// shared — several buffers can be live at once (they never overlap
-/// because the bump offset only moves forward), while `reset` takes
-/// `&mut self`, so the borrow checker proves no buffer survives a reset.
-///
-/// Exceeding the planned capacity is a plan bug and panics; it never
-/// falls back to the heap silently.
-#[derive(Debug)]
-pub struct Arena {
-    base: NonNull<u8>,
-    capacity: usize,
-    offset: Cell<usize>,
-    high_water: Cell<usize>,
-    allocator: Box<dyn TensorAllocator>,
-}
-
-// SAFETY: the arena exclusively owns its slab; the raw base pointer is
-// never shared outside `ArenaBuf`s, whose lifetimes are tied to the
-// arena. Moving the arena to another thread moves sole ownership.
-unsafe impl Send for Arena {}
-
-impl Arena {
-    /// An arena over `bytes` of scratch backed by the global heap.
-    ///
-    /// The capacity is rounded up to [`ARENA_ALIGN`]; `bytes == 0` still
-    /// reserves one aligned line so the empty arena needs no special
-    /// cases.
-    pub fn with_capacity(bytes: usize) -> Arena {
-        Arena::with_allocator(bytes, Box::new(GlobalAllocator))
-    }
-
-    /// An arena whose slab comes from (and returns to) `allocator`.
-    pub fn with_allocator(bytes: usize, allocator: Box<dyn TensorAllocator>) -> Arena {
-        let capacity = align_up(bytes.max(1), ARENA_ALIGN);
-        let layout = Layout::from_size_align(capacity, ARENA_ALIGN).expect("arena layout");
-        let base = allocator.alloc(layout);
-        Arena {
-            base,
-            capacity,
-            offset: Cell::new(0),
-            high_water: Cell::new(0),
-            allocator,
-        }
-    }
-
-    /// Bytes one `alloc_f32(len)` consumes: the payload rounded up to
-    /// the arena's alignment granule. Shape plans sum this per planned
-    /// buffer to size the arena exactly.
-    pub fn f32_slot_bytes(len: usize) -> usize {
-        align_up(
-            len.checked_mul(4).expect("arena slot size overflow"),
-            ARENA_ALIGN,
-        )
-    }
-
-    /// Carves a zeroed `len`-float buffer off the slab.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slab is exhausted — the shape plan that sized this
-    /// arena undercounted, which is a bug, not a fallback case.
-    pub fn alloc_f32(&self, len: usize) -> ArenaBuf<'_> {
-        let start = self.offset.get();
-        debug_assert_eq!(start % ARENA_ALIGN, 0);
-        let end = start
-            .checked_add(Arena::f32_slot_bytes(len))
-            .expect("arena offset overflow");
-        assert!(
-            end <= self.capacity,
-            "arena overflow: need {end} bytes, planned {} — the shape plan undercounted",
-            self.capacity
-        );
-        self.offset.set(end);
-        if end > self.high_water.get() {
-            self.high_water.set(end);
-        }
-        // SAFETY: [start, start + 4·len) lies inside the slab (checked
-        // above), start is ARENA_ALIGN-aligned (≥ f32 alignment), and
-        // the bump offset guarantees the range is disjoint from every
-        // previously handed-out buffer.
-        let ptr = unsafe {
-            let p = self.base.as_ptr().add(start).cast::<f32>();
-            std::ptr::write_bytes(p, 0, len);
-            p
-        };
-        ArenaBuf {
-            ptr,
-            len,
-            _arena: PhantomData,
-        }
-    }
-
-    /// Reclaims every outstanding byte. Safe by construction: `&mut
-    /// self` proves no [`ArenaBuf`] is still alive. Resetting an
-    /// already-empty arena is a no-op.
-    pub fn reset(&mut self) {
-        self.offset.set(0);
-    }
-
-    /// Bytes currently carved out since the last reset.
-    pub fn used(&self) -> usize {
-        self.offset.get()
-    }
-
-    /// The most bytes ever simultaneously carved out — survives resets,
-    /// so a plan can be validated against real usage.
-    pub fn high_water(&self) -> usize {
-        self.high_water.get()
-    }
-
-    /// Total slab size in bytes.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-}
-
-impl Drop for Arena {
-    fn drop(&mut self) {
-        let layout = Layout::from_size_align(self.capacity, ARENA_ALIGN).expect("arena layout");
-        // SAFETY: base came from this allocator with this exact layout,
-        // and no ArenaBuf outlives the arena.
-        unsafe { self.allocator.dealloc(self.base, layout) }
-    }
-}
-
-/// A zeroed `f32` scratch buffer carved from an [`Arena`]; derefs to
-/// `[f32]`. Dropping it returns nothing — reclamation happens wholesale
-/// at [`Arena::reset`].
-#[derive(Debug)]
-pub struct ArenaBuf<'a> {
-    ptr: *mut f32,
-    len: usize,
-    _arena: PhantomData<&'a Arena>,
-}
-
-impl Deref for ArenaBuf<'_> {
-    type Target = [f32];
-
-    fn deref(&self) -> &[f32] {
-        // SAFETY: ptr/len describe a live, aligned, exclusive range of
-        // the arena slab (see `Arena::alloc_f32`).
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-    }
-}
-
-impl DerefMut for ArenaBuf<'_> {
-    fn deref_mut(&mut self) -> &mut [f32] {
-        // SAFETY: as above; `&mut self` gives unique access.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.len) }
-    }
-}
-
-// ---------------------------------------------------------------------
-// CountingHeap: a `#[global_allocator]` with per-thread counters.
-// ---------------------------------------------------------------------
+use std::sync::Mutex;
 
 /// One thread's allocation counters, registered with the process-wide
 /// registry on that thread's first allocation.
@@ -468,97 +194,5 @@ unsafe impl GlobalAlloc for CountingHeap {
         record_alloc(layout.size());
         // SAFETY: forwarded caller contract.
         unsafe { System.alloc_zeroed(layout) }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn arena_buffers_are_zeroed_disjoint_and_aligned() {
-        let arena = Arena::with_capacity(4096);
-        let mut a = arena.alloc_f32(10);
-        let mut b = arena.alloc_f32(7);
-        assert!(a.iter().chain(b.iter()).all(|&v| v == 0.0));
-        assert_eq!(a.as_ptr() as usize % ARENA_ALIGN, 0);
-        assert_eq!(b.as_ptr() as usize % ARENA_ALIGN, 0);
-        a[0] = 1.0;
-        b[6] = 2.0;
-        assert_eq!((a[0], b[0], b[6]), (1.0, 0.0, 2.0));
-        // Two slots of 64 bytes each (10 and 7 floats both round up).
-        assert_eq!(arena.used(), 2 * ARENA_ALIGN);
-    }
-
-    #[test]
-    fn arena_reset_recycles_and_rezeroes() {
-        let mut arena = Arena::with_capacity(Arena::f32_slot_bytes(16));
-        {
-            let mut buf = arena.alloc_f32(16);
-            buf.fill(7.0);
-        }
-        arena.reset();
-        assert_eq!(arena.used(), 0);
-        let buf = arena.alloc_f32(16);
-        assert!(buf.iter().all(|&v| v == 0.0), "recycled slot must re-zero");
-    }
-
-    #[test]
-    fn arena_double_reset_is_safe_and_high_water_survives() {
-        let mut arena = Arena::with_capacity(8 * ARENA_ALIGN);
-        let _ = arena.alloc_f32(48); // 192 bytes → 192-aligned-up = 192... one slot
-        let peak = arena.used();
-        assert_eq!(peak, Arena::f32_slot_bytes(48));
-        arena.reset();
-        arena.reset();
-        assert_eq!(arena.used(), 0);
-        assert_eq!(arena.high_water(), peak);
-        let _ = arena.alloc_f32(1);
-        assert_eq!(
-            arena.high_water(),
-            peak,
-            "smaller round must not move the mark"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "arena overflow")]
-    fn arena_overflow_panics_instead_of_spilling() {
-        let arena = Arena::with_capacity(ARENA_ALIGN);
-        let _ = arena.alloc_f32(1);
-        let _ = arena.alloc_f32(1);
-    }
-
-    #[test]
-    fn zero_capacity_and_zero_len_are_well_defined() {
-        let mut arena = Arena::with_capacity(0);
-        assert_eq!(arena.capacity(), ARENA_ALIGN);
-        {
-            let buf = arena.alloc_f32(0);
-            assert!(buf.is_empty());
-        }
-        arena.reset();
-    }
-
-    #[test]
-    fn counting_allocator_counts_arena_slabs() {
-        let counting = CountingAllocator::new();
-        let arena = Arena::with_allocator(1024, Box::new(counting.clone()));
-        assert_eq!(counting.allocs(), 1);
-        assert_eq!(counting.deallocs(), 0);
-        // Carving buffers is heap-silent.
-        let _ = arena.alloc_f32(64);
-        let _ = arena.alloc_f32(64);
-        assert_eq!(counting.allocs(), 1);
-        drop(arena);
-        assert_eq!(counting.deallocs(), 1);
-    }
-
-    #[test]
-    fn slot_bytes_round_up_to_the_alignment_granule() {
-        assert_eq!(Arena::f32_slot_bytes(0), 0);
-        assert_eq!(Arena::f32_slot_bytes(1), ARENA_ALIGN);
-        assert_eq!(Arena::f32_slot_bytes(16), ARENA_ALIGN);
-        assert_eq!(Arena::f32_slot_bytes(17), 2 * ARENA_ALIGN);
     }
 }

@@ -10,7 +10,8 @@
 //! - packed, register-tiled, multi-threaded matrix multiplication with
 //!   fused bias/ReLU epilogues and reusable pre-packed weight panels
 //!   ([`ops::gemm`]; [`ops::matmul`] holds the `Tensor` entry points),
-//! - `im2col`/`col2im` convolution lowering and pooling kernels,
+//! - the convolution kernel (im2col fused into GEMM panel packing),
+//!   `im2col`/`col2im` for the backward pass, and pooling kernels,
 //! - the linear algebra needed by Lipschitz-constant regularization
 //!   (power iteration, Gram matrices, orthogonality penalties — [`linalg`]),
 //! - seeded random sampling including Box–Muller normal and log-normal

@@ -1,6 +1,6 @@
 //! The register-blocked micro-kernel and the fused C-tile writeback.
 
-use super::{MR, NR};
+use super::{Activation, MR, NR};
 
 /// Operation fused into the C-tile writeback.
 ///
@@ -239,6 +239,39 @@ pub(super) fn write_tile(
         let crow = &mut c[start..start + at.cols];
         for (jr, (cj, &v)) in crow.iter_mut().zip(acc_row.iter()).enumerate() {
             *cj = epilogue.apply(v, at.col0 + jr);
+        }
+    }
+}
+
+/// [`write_tile`] with a **per-row** bias and activation: output row `r`
+/// stores `act(acc + bias[r])`. The convolution kernel's rows are output
+/// channels, so this is the channel-bias writeback that lands NCHW
+/// directly. The add and the `max(0.0)` are the same single operations a
+/// separate broadcast add and ReLU pass perform.
+#[inline]
+pub(super) fn write_tile_row_bias(
+    c: &mut [f32],
+    ldc: usize,
+    at: TileBounds,
+    acc: &[[f32; NR]; MR],
+    bias: &[f32],
+    act: Activation,
+) {
+    for (ir, acc_row) in acc.iter().enumerate().take(at.rows) {
+        let b = bias[at.row0 + ir];
+        let start = (at.row0 + ir) * ldc + at.col0;
+        let crow = &mut c[start..start + at.cols];
+        match act {
+            Activation::Identity => {
+                for (cj, &v) in crow.iter_mut().zip(acc_row.iter()) {
+                    *cj = v + b;
+                }
+            }
+            Activation::Relu => {
+                for (cj, &v) in crow.iter_mut().zip(acc_row.iter()) {
+                    *cj = (v + b).max(0.0);
+                }
+            }
         }
     }
 }

@@ -5,7 +5,9 @@
 //! [`Tensor::t_matmul`](crate::Tensor::t_matmul) /
 //! [`Tensor::matmul_t`](crate::Tensor::matmul_t) are thin entry points
 //! over [`gemm_into`], and the inference layers of `cn-nn` call
-//! [`gemm_bias_act`] with pre-packed weight panels.
+//! [`gemm_bias_act`] with pre-packed weight panels. Convolutions run the
+//! same micro-kernel through [`conv2d_into`], which packs the weights as
+//! the left operand and gathers input patches straight into B panels.
 //!
 //! # Structure
 //!
@@ -32,11 +34,13 @@
 //! implementation — NaN positions always coincide, but their payloads
 //! may differ between code paths.)
 
+mod conv;
 mod kernel;
 mod pack;
 
+pub use conv::conv2d_into;
 pub use kernel::Epilogue;
-pub use pack::{Layout, PackedB};
+pub use pack::{Layout, PackedA, PackedB};
 
 use crate::parallel::{num_threads, parallel_chunks_mut};
 use crate::tensor::Tensor;
@@ -167,10 +171,12 @@ pub fn gemm_into(
 }
 
 thread_local! {
-    /// Recycled A-panel packing scratch. One buffer per thread: the
-    /// inline (single-threaded) driver and each persistent worker
-    /// thread pay one allocation at their high-water size, then every
-    /// later GEMM packs into warm memory.
+    /// Recycled A-panel packing scratch. One buffer per thread: calls
+    /// that run inline (single-threaded callers, and nested calls inside
+    /// a `cn_tensor::parallel` worker) pack into warm memory after one
+    /// allocation at their high-water size; a fanned-out call's scoped
+    /// worker threads are fresh, so each of them allocates its own once
+    /// for that call.
     static A_PANELS: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 

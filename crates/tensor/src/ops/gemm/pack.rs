@@ -7,9 +7,10 @@
 //!   panels of [`NR`](super::NR) columns; panel `p` stores
 //!   `B[kk][p·NR + jr]` at offset `kk·NR + jr`, so one k-step of the
 //!   micro-kernel reads one contiguous `NR`-float row.
-//! - **A panels** ([`pack_a_block`]): a block of output rows is split into
-//!   row panels of [`MR`](super::MR) rows; panel `ip` stores
-//!   `A[row0 + ip·MR + ir][kk]` at offset `kk·MR + ir`.
+//! - **A panels** ([`pack_a_block`], or [`PackedA`] for a whole frozen
+//!   operand): a block of output rows is split into row panels of
+//!   [`MR`](super::MR) rows; panel `ip` stores `A[row0 + ip·MR + ir][kk]`
+//!   at offset `kk·MR + ir`.
 //!
 //! Ragged edges are zero-padded to the full panel width. Padding never
 //! reaches the output: padded accumulator lanes multiply packed zeros on
@@ -127,6 +128,57 @@ impl PackedB {
     /// The packed `k × NR` panel covering columns `[p·NR, min(n, (p+1)·NR))`.
     pub(super) fn panel(&self, p: usize) -> &[f32] {
         &self.data[p * self.k * NR..(p + 1) * self.k * NR]
+    }
+}
+
+/// A row-major `[m, k]` left operand packed once into `MR`-row panels —
+/// the frozen-weight counterpart of [`PackedB`] for products where the
+/// weights sit on the left, as in the convolution kernel's
+/// `W[oc, k] · patchesᵀ`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PackedA {
+    data: Vec<f32>,
+    m: usize,
+    k: usize,
+}
+
+impl PackedA {
+    /// Packs a row-major `[m, k]` buffer, zero-padding the ragged tail
+    /// panel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.len() != m * k`.
+    pub fn pack(a: &[f32], m: usize, k: usize) -> PackedA {
+        assert_eq!(
+            a.len(),
+            m * k,
+            "PackedA::pack: buffer holds {} floats, expected {m}×{k}",
+            a.len()
+        );
+        let mut data = vec![0.0f32; m.div_ceil(MR) * MR * k];
+        pack_a_block(a, m, k, Layout::RowMajor, 0, m, &mut data);
+        PackedA { data, m, k }
+    }
+
+    /// Row count `m` of the packed operand.
+    pub(super) fn m(&self) -> usize {
+        self.m
+    }
+
+    /// Inner (reduction) dimension `k`.
+    pub(super) fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Number of `MR`-row panels (zero when `m == 0`).
+    pub(super) fn panels(&self) -> usize {
+        self.m.div_ceil(MR)
+    }
+
+    /// The packed `k × MR` panel covering rows `[p·MR, min(m, (p+1)·MR))`.
+    pub(super) fn panel(&self, p: usize) -> &[f32] {
+        &self.data[p * self.k * MR..(p + 1) * self.k * MR]
     }
 }
 

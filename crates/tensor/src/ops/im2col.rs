@@ -1,11 +1,14 @@
 //! Convolution lowering: `im2col` / `col2im` and NCHW layout shuffles.
 //!
-//! Convolutions are computed as matrix products: `im2col` unrolls every
-//! receptive field of an `[N, C, H, W]` input into a row of a
-//! `[N·oh·ow, C·kh·kw]` matrix, the kernel tensor is viewed as an
-//! `[out_c, C·kh·kw]` matrix, and the product (via
-//! [`Tensor::matmul_t`](crate::Tensor::matmul_t)) yields all outputs at
-//! once. `col2im` is the exact adjoint, used for input gradients.
+//! `im2col` unrolls every receptive field of an `[N, C, H, W]` input into
+//! a row of a `[N·oh·ow, C·kh·kw]` patch matrix, so a convolution is the
+//! product of that matrix with the `[out_c, C·kh·kw]` kernel matrix.
+//! The forward pass does not materialize it — [`crate::ops::conv2d_into`]
+//! gathers patches straight into GEMM panels — but the backward pass
+//! does, to form weight gradients, and `col2im`, the exact adjoint,
+//! scatters input gradients. The explicit chain
+//! `rows_to_nchw(im2col(x) · Wᵀ + b)` is also the reference the
+//! convolution kernel is tested against bit for bit.
 
 use crate::parallel::parallel_chunks_mut;
 use crate::tensor::Tensor;
@@ -74,21 +77,6 @@ impl Conv2dGeometry {
 ///
 /// Panics if `input` is not rank-4 or disagrees with `geo`.
 pub fn im2col(input: &Tensor, geo: &Conv2dGeometry) -> Tensor {
-    let rows = input.dims()[0] * geo.patches_per_sample();
-    let mut out = Tensor::zeros(&[rows, geo.patch_len()]);
-    im2col_into(input, geo, out.data_mut());
-    out
-}
-
-/// [`im2col`] into a caller-provided `[N·oh·ow, C·kh·kw]` row-major
-/// buffer (e.g. arena scratch). Every element is written — padding is
-/// stored as an explicit `0.0` — so the buffer may hold stale data.
-///
-/// # Panics
-///
-/// Panics if `input` is not rank-4, disagrees with `geo`, or `out` has
-/// the wrong length.
-pub fn im2col_into(input: &Tensor, geo: &Conv2dGeometry, out: &mut [f32]) {
     assert_eq!(input.rank(), 4, "im2col expects NCHW input");
     let (n, c, h, w) = (
         input.dims()[0],
@@ -105,18 +93,13 @@ pub fn im2col_into(input: &Tensor, geo: &Conv2dGeometry, out: &mut [f32]) {
     let (oh, ow) = (geo.out_h(), geo.out_w());
     let patch_len = geo.patch_len();
     let rows = n * oh * ow;
-    assert_eq!(
-        out.len(),
-        rows * patch_len,
-        "im2col_into: buffer holds {} floats, expected {rows}×{patch_len}",
-        out.len()
-    );
+    let mut out = Tensor::zeros(&[rows, patch_len]);
     let x = input.data();
     let (kh, kw, stride, pad) = (geo.kh, geo.kw, geo.stride, geo.pad);
 
     // One chunk per block of rows; each row is an independent gather.
     let rows_per_chunk = rows.div_ceil(crate::parallel::num_threads()).max(64);
-    parallel_chunks_mut(out, rows_per_chunk * patch_len, |ci, chunk| {
+    parallel_chunks_mut(out.data_mut(), rows_per_chunk * patch_len, |ci, chunk| {
         let row0 = ci * rows_per_chunk;
         for (local, patch) in chunk.chunks_mut(patch_len).enumerate() {
             let r = row0 + local;
@@ -142,6 +125,7 @@ pub fn im2col_into(input: &Tensor, geo: &Conv2dGeometry, out: &mut [f32]) {
             }
         }
     });
+    out
 }
 
 /// Adjoint of [`im2col`]: scatters patch-matrix gradients
@@ -197,39 +181,16 @@ pub fn rows_to_nchw(rows: &Tensor, batch: usize, out_c: usize, oh: usize, ow: us
         "row matrix mismatch"
     );
     let mut out = Tensor::zeros(&[batch, out_c, oh, ow]);
-    rows_to_nchw_into(rows.data(), batch, out_c, oh, ow, out.data_mut());
-    out
-}
-
-/// [`rows_to_nchw`] from/into caller-provided flat buffers: `rows` is
-/// the `[N·oh·ow, out_c]` product matrix, `out` the `[N, out_c, oh, ow]`
-/// destination. Every output element is written.
-///
-/// # Panics
-///
-/// Panics if either buffer length disagrees with the geometry.
-pub fn rows_to_nchw_into(
-    rows: &[f32],
-    batch: usize,
-    out_c: usize,
-    oh: usize,
-    ow: usize,
-    out: &mut [f32],
-) {
-    assert_eq!(rows.len(), batch * oh * ow * out_c, "row matrix mismatch");
-    assert_eq!(
-        out.len(),
-        batch * out_c * oh * ow,
-        "rows_to_nchw_into: output buffer length mismatch"
-    );
+    let (r, o) = (rows.data(), out.data_mut());
     for n in 0..batch {
         for s in 0..oh * ow {
-            let row = &rows[(n * oh * ow + s) * out_c..(n * oh * ow + s + 1) * out_c];
+            let row = &r[(n * oh * ow + s) * out_c..(n * oh * ow + s + 1) * out_c];
             for (oc, &v) in row.iter().enumerate() {
-                out[(n * out_c + oc) * oh * ow + s] = v;
+                o[(n * out_c + oc) * oh * ow + s] = v;
             }
         }
     }
+    out
 }
 
 /// Inverse of [`rows_to_nchw`]: flattens NCHW `[N, C, oh, ow]` into

@@ -1,6 +1,7 @@
 //! Tensor operations: elementwise arithmetic, packed register-tiled
-//! matrix multiplication ([`gemm`]), reductions, convolution lowering
-//! (`im2col`), pooling and padding.
+//! matrix multiplication and the convolution kernel ([`gemm`]),
+//! reductions, `im2col`/`col2im` lowering (backward pass), pooling and
+//! padding.
 
 pub mod axis;
 pub mod concat;
@@ -15,12 +16,10 @@ pub mod reduce;
 pub use concat::{concat_channels, split_channels};
 pub use elementwise::{broadcast_zip, reduce_to_suffix};
 pub use gemm::{
-    gemm_bias_act, gemm_bias_act_into, gemm_into, Activation, Epilogue, Layout, PackedB,
+    conv2d_into, gemm_bias_act, gemm_bias_act_into, gemm_into, Activation, Epilogue, Layout,
+    PackedA, PackedB,
 };
-pub use im2col::{
-    col2im, conv_out_dim, im2col, im2col_into, nchw_to_rows, rows_to_nchw, rows_to_nchw_into,
-    Conv2dGeometry,
-};
+pub use im2col::{col2im, conv_out_dim, im2col, nchw_to_rows, rows_to_nchw, Conv2dGeometry};
 pub use pad::{pad_nchw, unpad_nchw};
 pub use pool::{
     avg_pool2d, avg_pool2d_backward, avg_pool2d_into, avg_pool_to, avg_pool_to_backward,

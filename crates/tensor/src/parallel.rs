@@ -3,9 +3,32 @@
 //! The workspace runs on small CPU boxes; a full work-stealing pool is not
 //! warranted. [`parallel_chunks_mut`] splits a mutable slice into per-thread
 //! chunks processed with `std::thread::scope`, which is enough to keep
-//! matmul, im2col and Monte-Carlo evaluation busy on all cores.
+//! GEMM, convolution and Monte-Carlo evaluation busy on all cores.
+//!
+//! Parallelism is **one level deep**: a thread spawned by this module runs
+//! any nested [`parallel_chunks_mut`] / [`parallel_ranges`] call inline.
+//! The outermost fan-out (for example one Monte-Carlo deployment per
+//! worker) already occupies every core, so kernels called from inside it
+//! spawning `num_threads()` more scoped threads per call would only
+//! oversubscribe the machine.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+thread_local! {
+    /// Set on threads spawned by this module; nested calls run inline.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Worker count for a call with `items` units of work: capped by
+/// [`num_threads()`], and 1 on a thread this module spawned.
+fn workers_for(items: usize) -> usize {
+    if IN_WORKER.with(Cell::get) {
+        1
+    } else {
+        num_threads().min(items)
+    }
+}
 
 /// Returns the number of worker threads to use.
 ///
@@ -38,7 +61,8 @@ pub fn num_threads() -> usize {
 /// [`num_threads()`] worker threads are spawned, each pulling the next
 /// unclaimed chunk from a shared iterator, so callers with many small
 /// chunks never fan out beyond the worker cap. When only one thread is
-/// available (or there is a single chunk) everything runs inline.
+/// available, there is a single chunk, or the caller is itself a worker
+/// of this module, everything runs inline.
 ///
 /// # Panics
 ///
@@ -49,8 +73,7 @@ pub fn parallel_chunks_mut<T: Send>(
     f: impl Fn(usize, &mut [T]) + Sync,
 ) {
     assert!(chunk_len > 0, "chunk_len must be positive");
-    let n_chunks = data.len().div_ceil(chunk_len);
-    let workers = num_threads().min(n_chunks);
+    let workers = workers_for(data.len().div_ceil(chunk_len));
     if workers <= 1 {
         for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
             f(i, chunk);
@@ -62,16 +85,19 @@ pub fn parallel_chunks_mut<T: Send>(
         for _ in 0..workers {
             let chunks = &chunks;
             let f = &f;
-            scope.spawn(move || loop {
-                // Claim the next chunk under the lock, release it before
-                // running `f` so workers overlap on the actual work.
-                let next = chunks
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .next();
-                match next {
-                    Some((i, chunk)) => f(i, chunk),
-                    None => break,
+            scope.spawn(move || {
+                IN_WORKER.with(|w| w.set(true));
+                loop {
+                    // Claim the next chunk under the lock, release it
+                    // before running `f` so workers overlap on the work.
+                    let next = chunks
+                        .lock()
+                        .unwrap_or_else(|poisoned| poisoned.into_inner())
+                        .next();
+                    match next {
+                        Some((i, chunk)) => f(i, chunk),
+                        None => break,
+                    }
                 }
             });
         }
@@ -81,8 +107,9 @@ pub fn parallel_chunks_mut<T: Send>(
 /// Runs `f(start, end)` over `[0, n)` split into roughly equal ranges, one
 /// per worker thread. Use when the work does not borrow a single mutable
 /// slice (e.g. producing independent results gathered via channels).
+/// Like [`parallel_chunks_mut`], it runs inline inside a worker.
 pub fn parallel_ranges(n: usize, f: impl Fn(usize, usize) + Sync) {
-    let workers = num_threads().min(n.max(1));
+    let workers = workers_for(n.max(1));
     if workers <= 1 || n == 0 {
         f(0, n);
         return;
@@ -96,7 +123,10 @@ pub fn parallel_ranges(n: usize, f: impl Fn(usize, usize) + Sync) {
                 break;
             }
             let f = &f;
-            scope.spawn(move || f(start, end));
+            scope.spawn(move || {
+                IN_WORKER.with(|w| w.set(true));
+                f(start, end)
+            });
         }
     });
 }
@@ -160,6 +190,34 @@ mod tests {
     fn zero_chunk_len_panics() {
         let mut v = [0u8; 4];
         parallel_chunks_mut(&mut v, 0, |_, _| {});
+    }
+
+    /// Parallelism is one level deep: a `parallel_chunks_mut` (or
+    /// `parallel_ranges`) call made from inside a worker runs every chunk
+    /// on that worker's own thread instead of spawning more threads.
+    #[test]
+    fn nested_calls_run_inline_on_the_worker_thread() {
+        use std::sync::Mutex;
+        let mut outer = vec![0u32; 4 * num_threads().max(2)];
+        let foreign = Mutex::new(Vec::new());
+        parallel_chunks_mut(&mut outer, 1, |_, slot| {
+            let me = std::thread::current().id();
+            let mut inner = vec![0u32; 64];
+            parallel_chunks_mut(&mut inner, 1, |_, x| {
+                x[0] = 1;
+                if std::thread::current().id() != me {
+                    foreign.lock().unwrap().push("chunks");
+                }
+            });
+            parallel_ranges(64, |_, _| {
+                if std::thread::current().id() != me {
+                    foreign.lock().unwrap().push("ranges");
+                }
+            });
+            slot[0] = inner.iter().sum();
+        });
+        assert!(outer.iter().all(|&s| s == 64));
+        assert_eq!(*foreign.lock().unwrap(), Vec::<&str>::new());
     }
 
     /// Regression: chunk processing used to spawn one OS thread *per
