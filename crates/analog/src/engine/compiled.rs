@@ -1,7 +1,7 @@
 //! Compile step: freezing one deployment instance of a model.
 
 use super::backend::Backend;
-use cn_nn::{InferScratch, Sequential, ShapePlan};
+use cn_nn::{InferScratch, Sequential};
 use cn_tensor::{SeededRng, Tensor};
 use std::sync::Arc;
 
@@ -11,7 +11,7 @@ use std::sync::Arc;
 /// A `CompiledModel` is `Send + Sync` and never mutated after compilation,
 /// so one instance (behind an [`Arc`]) can serve any number of concurrent
 /// [`Session`](super::Session)s. Inference goes through the cache-free
-/// [`Sequential::infer`] path; for baking backends the masks are folded
+/// [`Sequential::infer_with`] path; for baking backends the masks are folded
 /// into the weights at compile time, so the hot path performs no mask
 /// multiplication and no weight re-deployment. Compilation also
 /// pre-packs every frozen weight matrix into GEMM panels
@@ -121,12 +121,6 @@ impl CompiledModel {
     /// allocating path (see [`Sequential::infer_with`]).
     pub fn infer_with<'s>(&self, x: &Tensor, scratch: &'s mut InferScratch) -> &'s Tensor {
         self.model.infer_with(x, scratch)
-    }
-
-    /// Measures the scratch one session needs to run this deployment at
-    /// `[max_batch, …sample_dims]` inputs (see [`Sequential::shape_plan`]).
-    pub fn shape_plan(&self, sample_dims: &[usize], max_batch: usize) -> ShapePlan {
-        self.model.shape_plan(sample_dims, max_batch)
     }
 
     /// The deployed model snapshot.

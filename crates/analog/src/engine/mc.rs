@@ -17,8 +17,8 @@ use std::sync::Arc;
 /// `SeededRng::new(cfg.seed).fork(i)`, so results are deterministic in
 /// `cfg.seed` and independent of the worker thread count. Samples fan
 /// out over [`parallel_chunks_mut`] workers; each keeps one [`Session`]
-/// and rebinds it per instance, reusing the batch scratch across its
-/// samples. This reproduces the results of the
+/// and rebinds it per instance, so its batch tensor and ping-pong
+/// activation scratch are allocated once per worker, not per sample. This reproduces the results of the
 /// removed legacy `mc_accuracy` / `mc_accuracy_mode` /
 /// `mc_accuracy_from_layer` / `mc_with` free functions bit for bit
 /// (pair this entry point with the matching backend).

@@ -11,10 +11,11 @@
 //!    conductance-level [`TiledBackend`], or a custom implementation) and
 //!    freezes it as an immutable [`CompiledModel`] (`Send + Sync`,
 //!    shareable via `Arc`; variation masks are baked into the weights).
-//! 2. **Execute** — each [`Session`] owns reusable scratch buffers and
-//!    runs batched inference (`infer_batch` / `logits_batch` /
-//!    `evaluate`) against a compiled snapshot with no per-call model
-//!    cloning or weight re-deployment.
+//! 2. **Execute** — each [`Session`] owns reusable scratch (ping-pong
+//!    activations, a batch tensor, a prediction buffer) and runs batched
+//!    inference (`infer_batch` / `logits_batch` / `evaluate`) against a
+//!    compiled snapshot with no per-call model cloning, weight
+//!    re-deployment or, once warm, heap allocation.
 //!
 //! [`monte_carlo`] re-expresses the paper's 250-sample evaluation protocol
 //! as N compiled instances executed through per-worker sessions; the old

@@ -2,67 +2,67 @@
 
 use super::compiled::CompiledModel;
 use cn_data::Dataset;
-use cn_nn::inference::{evaluate_infer, BatchScratch};
-use cn_nn::{InferScratch, ShapePlan};
+use cn_nn::InferScratch;
 use cn_tensor::Tensor;
 use std::sync::Arc;
-
-/// Planned per-session inference memory: the shape plan a scratch was
-/// sized from, plus the scratch itself. Rebuilt whenever an input stops
-/// fitting the plan.
-struct PlannedScratch {
-    plan: ShapePlan,
-    scratch: InferScratch,
-}
 
 /// An inference session bound to a [`CompiledModel`].
 ///
 /// The compiled snapshot is shared (many sessions, e.g. one per serving
 /// thread, can hold the same `Arc`); the session owns the mutable
-/// per-caller state — a [`ShapePlan`]-sized arena and ping-pong activation
-/// buffers for the layer stack, plus reusable batch-assembly and
-/// prediction buffers. After the first batch at a given shape (warmup,
-/// which sizes the plan), repeated [`infer_batch`](Session::infer_batch) /
-/// [`logits_ref`](Session::logits_ref) calls perform **zero heap
-/// allocations**: every intermediate lives in session-owned memory, and
-/// the weights were programmed once at compile time.
+/// per-caller state — ping-pong activation buffers for the layer stack
+/// ([`InferScratch`]), an evaluation batch tensor and a prediction
+/// buffer. All of it grows on first use and survives
+/// [`rebind`](Session::rebind). Once it has seen the largest batch,
+/// repeated [`infer_batch`](Session::infer_batch) /
+/// [`logits_ref`](Session::logits_ref) / [`evaluate`](Session::evaluate)
+/// calls perform **zero heap allocations**: every intermediate lives in
+/// session-owned memory, and the weights were programmed once at compile
+/// time.
 pub struct Session {
     compiled: Arc<CompiledModel>,
-    scratch: BatchScratch,
-    planned: Option<PlannedScratch>,
+    scratch: InferScratch,
+    batch: Tensor,
+    batch_dims: Vec<usize>,
+    preds: Vec<usize>,
     batches: u64,
 }
 
 impl Session {
-    /// Opens a session on a compiled deployment. Inference scratch is
-    /// planned lazily on the first batch; use
-    /// [`with_plan`](Session::with_plan) to pay the planning cost up
-    /// front.
+    /// Opens a session on a compiled deployment. Its scratch grows on the
+    /// first batch; use [`with_plan`](Session::with_plan) to pay that
+    /// cost up front.
     pub fn new(compiled: Arc<CompiledModel>) -> Self {
         Session {
             compiled,
-            scratch: BatchScratch::new(),
-            planned: None,
+            scratch: InferScratch::default(),
+            batch: Tensor::default(),
+            batch_dims: Vec::new(),
+            preds: Vec::new(),
             batches: 0,
         }
     }
 
-    /// Opens a session with inference scratch pre-sized for
-    /// `[max_batch, …sample_dims]` inputs, so the first batch already
-    /// runs in planned memory.
+    /// Opens a session and warms its scratch with one inference pass over
+    /// zeros at `[max_batch, …sample_dims]`, so every batch of up to
+    /// `max_batch` rows already runs allocation-free. The warmup pass is
+    /// not counted in [`batches_run`](Session::batches_run).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_batch` is zero or the model rejects the shape.
     pub fn with_plan(
         compiled: Arc<CompiledModel>,
         sample_dims: &[usize],
         max_batch: usize,
     ) -> Self {
-        let plan = compiled.shape_plan(sample_dims, max_batch);
-        let scratch = InferScratch::from_plan(&plan);
-        Session {
-            compiled,
-            scratch: BatchScratch::new(),
-            planned: Some(PlannedScratch { plan, scratch }),
-            batches: 0,
-        }
+        assert!(max_batch > 0, "warmup needs a positive max batch");
+        let mut session = Session::new(compiled);
+        let mut dims = vec![max_batch];
+        dims.extend_from_slice(sample_dims);
+        session.infer_logits_preds(&Tensor::zeros(&dims));
+        session.batches = 0;
+        session
     }
 
     /// The compiled model this session executes.
@@ -70,39 +70,20 @@ impl Session {
         &self.compiled
     }
 
-    /// Rebinds the session to another compiled instance, keeping the
-    /// batch-assembly scratch (used by the Monte-Carlo driver to run N
-    /// instances through one session per worker). The inference plan is
-    /// dropped — the new instance may have a different architecture — and
-    /// re-measured on the next batch.
+    /// Rebinds the session to another compiled instance (used by the
+    /// Monte-Carlo driver to run N instances through one session per
+    /// worker). All scratch is kept: it does not depend on the
+    /// architecture, so any model can reuse it.
     pub fn rebind(&mut self, compiled: Arc<CompiledModel>) {
         self.compiled = compiled;
-        self.planned = None;
     }
 
-    /// Ensures the planned scratch covers `x`, re-planning when the
-    /// session has none or the shape outgrew it (plan-time allocations
-    /// are warmup by definition).
-    fn ensure_planned(&mut self, x: &Tensor) {
-        let covered = self
-            .planned
-            .as_ref()
-            .is_some_and(|p| p.plan.covers(x.dims()));
-        if !covered {
-            let plan = self.compiled.shape_plan(&x.dims()[1..], x.dims()[0].max(1));
-            let scratch = InferScratch::from_plan(&plan);
-            self.planned = Some(PlannedScratch { plan, scratch });
-        }
-    }
-
-    /// Logits for one input batch, borrowed from the session's planned
-    /// scratch — the allocation-free entry point. The reference is valid
-    /// until the next inference call.
+    /// Logits for one input batch, borrowed from the session's scratch —
+    /// the allocation-free entry point. The reference is valid until the
+    /// next inference call.
     pub fn logits_ref(&mut self, x: &Tensor) -> &Tensor {
         self.batches += 1;
-        self.ensure_planned(x);
-        let planned = self.planned.as_mut().expect("planned above");
-        self.compiled.infer_with(x, &mut planned.scratch)
+        self.compiled.infer_with(x, &mut self.scratch)
     }
 
     /// Logits for one input batch, as an owned tensor.
@@ -114,11 +95,7 @@ impl Session {
     /// Predicted class indices for one input batch, written into the
     /// session's reusable prediction buffer.
     pub fn infer_batch(&mut self, x: &Tensor) -> &[usize] {
-        self.batches += 1;
-        self.ensure_planned(x);
-        let planned = self.planned.as_mut().expect("planned above");
-        let logits = self.compiled.infer_with(x, &mut planned.scratch);
-        self.scratch.argmax_into(logits)
+        self.infer_logits_preds(x).1
     }
 
     /// Logits **and** predicted classes for one batch, both borrowed from
@@ -126,24 +103,44 @@ impl Session {
     /// without allocating.
     pub fn infer_logits_preds(&mut self, x: &Tensor) -> (&Tensor, &[usize]) {
         self.batches += 1;
-        self.ensure_planned(x);
-        let planned = self.planned.as_mut().expect("planned above");
-        let logits = self.compiled.infer_with(x, &mut planned.scratch);
-        let preds = self.scratch.argmax_into(logits);
-        (logits, preds)
+        let logits = self.compiled.infer_with(x, &mut self.scratch);
+        logits.argmax_rows_into(&mut self.preds);
+        (logits, &self.preds)
     }
 
-    /// Batched test accuracy of the compiled deployment over `data`
-    /// (bitwise-identical protocol to `cn_nn::metrics::evaluate`).
+    /// Batched test accuracy of the compiled deployment over `data`:
+    /// batches in dataset order, each assembled into the session's batch
+    /// tensor and run through its scratch. Bitwise-identical protocol to
+    /// `cn_nn::metrics::evaluate`, and allocation-free once the session
+    /// has seen a full batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch_size` is zero.
     pub fn evaluate(&mut self, data: &Dataset, batch_size: usize) -> f32 {
-        self.batches += data.len().div_ceil(batch_size) as u64;
-        evaluate_infer(self.compiled.model(), data, batch_size, &mut self.scratch)
-    }
-
-    /// The shape plan currently backing the session's inference scratch
-    /// (None before the first batch of a lazily planned session).
-    pub fn plan(&self) -> Option<&ShapePlan> {
-        self.planned.as_ref().map(|p| &p.plan)
+        assert!(batch_size > 0, "batch_size must be positive");
+        let sample_len: usize = data.sample_dims().iter().product();
+        let mut hits = 0usize;
+        for start in (0..data.len()).step_by(batch_size) {
+            let end = (start + batch_size).min(data.len());
+            self.batch_dims.clear();
+            self.batch_dims.push(end - start);
+            self.batch_dims.extend_from_slice(data.sample_dims());
+            self.batch.resize_in_place(&self.batch_dims);
+            self.batch
+                .data_mut()
+                .copy_from_slice(&data.images.data()[start * sample_len..end * sample_len]);
+            self.batches += 1;
+            let logits = self.compiled.infer_with(&self.batch, &mut self.scratch);
+            logits.argmax_rows_into(&mut self.preds);
+            hits += self
+                .preds
+                .iter()
+                .zip(&data.labels[start..end])
+                .filter(|(p, l)| p == l)
+                .count();
+        }
+        hits as f32 / data.len().max(1) as f32
     }
 
     /// Number of batches this session has executed (across rebinds).
@@ -208,6 +205,29 @@ mod tests {
     }
 
     #[test]
+    fn matches_mutating_evaluate_bitwise() {
+        let data = synthetic_mnist(8, 25, 8);
+        let model = lenet5(&LeNetConfig::mnist(9));
+        let builder = EngineBuilder::new(&model)
+            .backend(AnalogBackend::lognormal(0.5))
+            .seed(10);
+        let (a, b) = (builder.compile_instance(0), builder.compile_instance(1));
+        let mut session = Session::new(a.clone().shared());
+        // Ragged, exact, single-sample and oversized batches, then the
+        // same sizes again after rebinding the warm scratch to another
+        // deployment.
+        for compiled in [a, b] {
+            session.rebind(compiled.clone().shared());
+            for bs in [1, 7, 25, 64] {
+                let acc = session.evaluate(&data.test, bs);
+                let reference =
+                    cn_nn::metrics::evaluate(&mut compiled.model().clone(), &data.test, bs);
+                assert_eq!(acc, reference, "batch size {bs}");
+            }
+        }
+    }
+
+    #[test]
     fn planned_paths_match_direct_inference_bitwise() {
         let model = lenet5(&LeNetConfig::mnist(21));
         let compiled = EngineBuilder::new(&model)
@@ -225,8 +245,6 @@ mod tests {
             assert_eq!(*logits, reference);
             assert_eq!(preds, reference.argmax_rows().as_slice());
         }
-        // All three batches fit the initial plan: no re-planning happened.
-        assert_eq!(session.plan().expect("planned").max_batch(), 4);
     }
 
     #[test]
@@ -234,20 +252,24 @@ mod tests {
         let model = lenet5(&LeNetConfig::mnist(24));
         let compiled = EngineBuilder::new(&model).compile().shared();
         let mut session = Session::with_plan(Arc::clone(&compiled), &[1, 28, 28], 2);
+        // The warmed scratch grows to the larger batch and stays exact.
         let x = SeededRng::new(25).normal_tensor(&[6, 1, 28, 28], 0.0, 1.0);
         assert_eq!(*session.logits_ref(&x), compiled.infer(&x));
-        assert_eq!(session.plan().expect("planned").max_batch(), 6);
     }
 
     #[test]
-    fn rebind_drops_the_plan() {
+    fn rebind_keeps_scratch_and_stays_exact() {
         let model = lenet5(&LeNetConfig::mnist(26));
-        let a = EngineBuilder::new(&model).compile().shared();
-        let b = EngineBuilder::new(&model).seed(1).compile().shared();
+        let builder = EngineBuilder::new(&model)
+            .backend(AnalogBackend::lognormal(0.5))
+            .seed(1);
+        let a = builder.compile_instance(0).shared();
+        let b = builder.compile_instance(1).shared();
         let mut session = Session::with_plan(Arc::clone(&a), &[1, 28, 28], 2);
-        session.rebind(Arc::clone(&b));
-        assert!(session.plan().is_none());
         let x = SeededRng::new(27).normal_tensor(&[2, 1, 28, 28], 0.0, 1.0);
+        assert_eq!(*session.logits_ref(&x), a.infer(&x));
+        session.rebind(Arc::clone(&b));
+        assert_ne!(a.infer(&x), b.infer(&x), "pick deployments that differ");
         assert_eq!(*session.logits_ref(&x), b.infer(&x));
     }
 }

@@ -1,6 +1,7 @@
 //! Allocation-count regression: steady-state `Session::infer_batch` must
-//! perform **zero heap allocations per request** once the shape plan and
-//! scratch are warm.
+//! perform **zero heap allocations per request** once the session scratch
+//! is warm, and a repeated `Session::evaluate` (the Monte-Carlo loop) must
+//! perform none per pass.
 //!
 //! This file is a dedicated test binary so it can install
 //! [`CountingHeap`] as the process global allocator (a library must
@@ -9,7 +10,8 @@
 //! multi-threaded GEMM path hands work to `thread::scope` workers, which
 //! allocates by design and is gated out of the single-thread contract.
 
-use cn_analog::engine::{EngineBuilder, Session};
+use cn_analog::engine::{AnalogBackend, EngineBuilder, Session};
+use cn_data::synthetic_mnist;
 use cn_nn::zoo::{lenet5, LeNetConfig};
 use cn_tensor::alloc::CountingHeap;
 use cn_tensor::SeededRng;
@@ -56,6 +58,28 @@ fn steady_state_infer_batch_allocates_nothing() {
         );
     }
 
-    // The planned path must still agree with direct inference bitwise.
+    // The scratch path must still agree with direct inference bitwise.
     assert_eq!(*session.logits_ref(&x32), compiled.infer(&x32));
+
+    // Monte-Carlo evaluation: 72 samples at batch 32 end in a ragged
+    // batch of 8. The first pass warms the batch tensor; a second pass
+    // over the same data, rebound to another deployment as the
+    // Monte-Carlo driver does, must not touch the heap.
+    let data = synthetic_mnist(1, 72, 5);
+    let builder = EngineBuilder::new(&model)
+        .backend(AnalogBackend::lognormal(0.5))
+        .seed(6);
+    let (a, b) = (
+        builder.compile().shared(),
+        builder.compile_instance(1).shared(),
+    );
+    session.rebind(a);
+    session.evaluate(&data.test, 32);
+    session.rebind(Arc::clone(&b));
+    let before = CountingHeap::thread_allocs();
+    let acc = session.evaluate(&data.test, 32);
+    let after = CountingHeap::thread_allocs();
+    assert_eq!(after - before, 0, "a repeated evaluate heap-allocated");
+    let reference = cn_nn::metrics::evaluate(&mut b.model().clone(), &data.test, 32);
+    assert_eq!(acc, reference);
 }

@@ -1,7 +1,8 @@
-//! **Alloc profile**: heap-allocation counts along the serving hot
-//! paths — steady-state [`Session::infer_batch`] on the calling thread
-//! and the `cn-serve` worker loop — measured with the
-//! [`CountingHeap`] counting allocator.
+//! **Alloc profile**: heap-allocation counts along the inference and
+//! serving hot paths — steady-state [`Session::infer_batch`] and the
+//! Monte-Carlo [`Session::evaluate`] pass on the calling thread, and the
+//! `cn-serve` worker loop — measured with the [`CountingHeap`] counting
+//! allocator.
 //!
 //! The hard *zero allocations per request* contract is pinned by the
 //! dedicated test binaries (`cn-analog/tests/zero_alloc_infer.rs`,
@@ -21,7 +22,7 @@
 
 use super::{Ctx, Experiment};
 use crate::report::ExperimentReport;
-use cn_analog::engine::{EngineBuilder, Session};
+use cn_analog::engine::{AnalogBackend, EngineBuilder, Session};
 use cn_nn::zoo::{lenet5, mlp, LeNetConfig};
 use cn_serve::{ServeConfig, Server};
 use cn_tensor::alloc::{CountingHeap, ThreadAllocCounter};
@@ -34,7 +35,7 @@ pub struct AllocProfile;
 
 /// Steady-state rounds measured per path (after warmup).
 const ROUNDS: u64 = 16;
-/// Warmup rounds: plan + kernel scratch + staging growth, outside the contract.
+/// Warmup rounds: session scratch + kernel scratch + staging growth, outside the contract.
 const WARMUP: usize = 4;
 
 /// The calling thread's allocation counter. Resolved once so the
@@ -124,6 +125,37 @@ impl Experiment for AllocProfile {
             let (a1, b1) = (me.allocs(), me.bytes());
             row(&mut report, label, key, a1 - a0, b1 - b0, ROUNDS);
         }
+
+        // Monte-Carlo path: repeated evaluate passes over a 72-sample test
+        // set at batch 32 (ending in a ragged batch), rebinding between two
+        // analog deployments as `monte_carlo` does. One request = one
+        // evaluated batch.
+        eprintln!("[alloc_profile] engine evaluate, batch 32 …");
+        let data = cn_data::synthetic_mnist(1, 72, ctx.seed);
+        let builder = EngineBuilder::new(&model)
+            .backend(AnalogBackend::lognormal(0.5))
+            .seed(ctx.seed);
+        let pair = [
+            builder.compile_instance(0).shared(),
+            builder.compile_instance(1).shared(),
+        ];
+        session.rebind(Arc::clone(&pair[1]));
+        session.evaluate(&data.test, 32);
+        let (a0, b0) = (me.allocs(), me.bytes());
+        for round in 0..ROUNDS as usize {
+            session.rebind(Arc::clone(&pair[round % 2]));
+            std::hint::black_box(session.evaluate(&data.test, 32));
+        }
+        let (a1, b1) = (me.allocs(), me.bytes());
+        let batches = ROUNDS * data.test.len().div_ceil(32) as u64;
+        row(
+            &mut report,
+            "engine evaluate (batch 32)",
+            "engine_evaluate",
+            a1 - a0,
+            b1 - b0,
+            batches,
+        );
 
         // Serve path: one worker over a small MLP head; each round is a
         // pipelined full batch so the worker coalesces at the planned

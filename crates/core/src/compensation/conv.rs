@@ -3,7 +3,9 @@
 use super::generator_filters;
 use cn_nn::layers::Conv2d;
 use cn_nn::{Layer, Param};
-use cn_tensor::ops::{avg_pool_to, avg_pool_to_backward, concat_channels, split_channels};
+use cn_tensor::ops::{
+    avg_pool_to, avg_pool_to_backward, concat_channels, split_channels, Activation,
+};
 use cn_tensor::{SeededRng, Tensor};
 
 /// A convolutional layer with attached error compensation.
@@ -115,11 +117,8 @@ impl CompensatedConv2d {
         &self.base
     }
 
-    /// The shared inference dataflow up to the compensator's input:
-    /// `concat(y, generator(concat(pool(x), y)))`. Both `infer` and
-    /// `infer_fused_relu` run this, differing only in how the final
-    /// compensator product executes — keeping the two paths from
-    /// drifting apart (their outputs must stay bitwise consistent).
+    /// The inference dataflow up to the compensator's input:
+    /// `concat(y, generator(concat(pool(x), y)))`.
     fn compensator_input(&self, x: &Tensor) -> Tensor {
         let y = self.base.infer(x);
         let (oh, ow) = (y.dims()[2], y.dims()[3]);
@@ -149,15 +148,11 @@ impl Layer for CompensatedConv2d {
         self.compensator.forward(&comp_in, train)
     }
 
-    fn infer(&self, x: &Tensor) -> Tensor {
-        self.compensator.infer(&self.compensator_input(x))
-    }
-
-    fn infer_fused_relu(&self, x: &Tensor) -> Option<Tensor> {
+    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) {
         // The wrapper's output stage is the compensator convolution, so
         // a trailing ReLU fuses into its GEMM writeback.
         self.compensator
-            .infer_fused_relu(&self.compensator_input(x))
+            .infer_into(&self.compensator_input(x), act, out);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -272,6 +267,20 @@ mod tests {
         for (a, b) in y_base.data().iter().zip(y_wrapped.data().iter()) {
             assert!((a - b).abs() < 1e-5, "{a} vs {b}");
         }
+    }
+
+    #[test]
+    fn infer_into_contract_holds_unpacked_and_packed() {
+        let mut w = CompensatedConv2d::wrap(base_conv(2, 4, 2), 0.5, 17);
+        let mut rng = SeededRng::new(18);
+        // Move the compensator off its identity init so the fused ReLU
+        // acts on a real product.
+        for p in w.compensator.params_mut() {
+            p.value = rng.normal_tensor(p.value.dims(), 0.0, 0.3);
+        }
+        cn_nn::layer::assert_infer_into_contract(&w, &[2, 2, 6, 6], 19);
+        w.pack_weights();
+        cn_nn::layer::assert_infer_into_contract(&w, &[2, 2, 6, 6], 19);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use super::generator_filters;
 use cn_nn::layers::Dense;
 use cn_nn::{Layer, Param};
-use cn_tensor::ops::{concat_channels, split_channels};
+use cn_tensor::ops::{concat_channels, split_channels, Activation};
 use cn_tensor::{SeededRng, Tensor};
 
 /// A dense layer with attached error compensation.
@@ -93,11 +93,8 @@ impl CompensatedDense {
         &self.base
     }
 
-    /// The shared inference dataflow up to the compensator's input:
-    /// `concat(y, generator(concat(x, y)))`. Both `infer` and
-    /// `infer_fused_relu` run this, differing only in how the final
-    /// compensator product executes — keeping the two paths from
-    /// drifting apart (their outputs must stay bitwise consistent).
+    /// The inference dataflow up to the compensator's input:
+    /// `concat(y, generator(concat(x, y)))`.
     fn compensator_input(&self, x: &Tensor) -> Tensor {
         let y = self.base.infer(x);
         let gen_in = concat_channels(&[x, &y]);
@@ -120,15 +117,11 @@ impl Layer for CompensatedDense {
         self.compensator.forward(&comp_in, train)
     }
 
-    fn infer(&self, x: &Tensor) -> Tensor {
-        self.compensator.infer(&self.compensator_input(x))
-    }
-
-    fn infer_fused_relu(&self, x: &Tensor) -> Option<Tensor> {
+    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) {
         // The wrapper's output stage is the compensator, so a trailing
         // ReLU fuses into its GEMM writeback.
         self.compensator
-            .infer_fused_relu(&self.compensator_input(x))
+            .infer_into(&self.compensator_input(x), act, out);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -247,6 +240,21 @@ mod tests {
         }
         let r = cn_nn::gradcheck::check_layer(&mut w, &[2, 4], 6, 1e-2, true);
         assert!(r.passes(3e-2), "{r:?}");
+    }
+
+    #[test]
+    fn infer_into_contract_holds_unpacked_and_packed() {
+        let mut w = CompensatedDense::wrap(base_dense(5, 4), 0.5, 11);
+        let mut rng = SeededRng::new(12);
+        for p in w.compensator.params_mut() {
+            p.value = rng.normal_tensor(p.value.dims(), 0.0, 0.3);
+        }
+        // Unpacked at a skinny and a full-panel batch, then packed.
+        for rows in [3, 11] {
+            cn_nn::layer::assert_infer_into_contract(&w, &[rows, 5], 13);
+        }
+        w.pack_weights();
+        cn_nn::layer::assert_infer_into_contract(&w, &[11, 5], 13);
     }
 
     #[test]

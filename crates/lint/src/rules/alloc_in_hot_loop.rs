@@ -1,10 +1,11 @@
 //! `alloc-in-hot-loop` — heap allocation inside a steady-state serving
 //! or inference loop.
 //!
-//! PR 10 made the serving hot path allocation-free end to end: sessions
-//! plan their scratch once per deployment shape (`ShapePlan` + ping-pong activations),
-//! workers stage batches and recycle reply buffers, handlers reuse
-//! frame-encode scratch — and counting-allocator regression tests pin
+//! The serving and Monte-Carlo hot paths are allocation-free end to end:
+//! sessions grow their ping-pong activation scratch once and reuse it
+//! across batches and rebinds, workers stage batches and recycle reply
+//! buffers, handlers reuse frame-encode scratch — and counting-allocator
+//! regression tests pin
 //! **zero heap allocations per request** in steady state. An innocent
 //! `Vec::new`/`to_vec`/`.clone()` added to one of those loops silently
 //! reintroduces a per-request allocation long before the perf harness
@@ -16,7 +17,7 @@ use crate::engine::{Rule, Sink};
 use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 
-/// Files holding the planned-scratch hot loops.
+/// Files holding the scratch-reusing hot loops.
 const HOT_PATHS: &[&str] = &[
     "crates/serve/src/",
     "crates/net/src/",
@@ -25,8 +26,9 @@ const HOT_PATHS: &[&str] = &[
 ];
 
 /// Functions whose bodies form the per-request steady state: the serve
-/// worker loop and its batch step, the planned session entry points, the
-/// planned sequential forward, and the connection-handler loop.
+/// worker loop and its batch step, the session entry points (including
+/// the Monte-Carlo `evaluate` pass), the scratch-threaded sequential
+/// forward, and the connection-handler loop.
 const HOT_FNS: &[&str] = &[
     "worker_loop",
     "run_batch",
@@ -34,6 +36,7 @@ const HOT_FNS: &[&str] = &[
     "logits_batch",
     "logits_ref",
     "infer_logits_preds",
+    "evaluate",
     "infer_with",
     "handler_loop",
     "handle_connection",
@@ -50,7 +53,7 @@ impl Rule for AllocInHotLoop {
     }
 
     fn summary(&self) -> &'static str {
-        "heap allocation in a zero-alloc serving/inference loop; reuse the planned scratch"
+        "heap allocation in a zero-alloc serving/inference loop; reuse the session scratch"
     }
 
     fn applies_to(&self, path: &str) -> bool {
@@ -119,7 +122,7 @@ fn check_alloc_at(file: &SourceFile, j: usize, sink: &mut Sink<'_>) {
             j,
             "heap allocation in a zero-alloc hot loop: this path is covered by the \
              counting-allocator regression tests (zero allocations per request in steady \
-             state); reuse the planned scratch (activations, staging buffers, pooled replies), \
+             state); reuse the warmed scratch (activations, staging buffers, pooled replies), \
              or suppress with an argument for why this allocation is warmup/once-per-\
              deployment rather than per-request",
         );

@@ -34,16 +34,48 @@ pub trait Layer: Send + Sync {
     /// batch-norm statistics updates).
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
 
-    /// Evaluation-mode forward pass through `&self`: no activation caching,
-    /// no statistics updates, no stochastic behaviour.
+    /// Evaluation-mode forward pass through `&self` into a recycled output
+    /// tensor — the one inference hook every layer implements.
     ///
-    /// This is the inference path compiled deployments execute (see the
-    /// engine layer): because it never mutates the layer, a single model
-    /// snapshot can serve concurrent inference sessions. Implementations
-    /// must produce **bitwise identical** outputs to
-    /// `forward(x, /*train=*/false)` — the engine's backend-equivalence
-    /// tests rely on it.
-    fn infer(&self, x: &Tensor) -> Tensor;
+    /// No activation caching, no statistics updates, no stochastic
+    /// behaviour: because it never mutates the layer, a single model
+    /// snapshot can serve concurrent inference sessions (see the engine
+    /// layer). Implementations reshape `out` in place (reusing its
+    /// capacity) and overwrite it with `act(y)`, where `y` is **bitwise
+    /// identical** to `forward(x, /*train=*/false)` — the engine's
+    /// backend-equivalence tests rely on it.
+    ///
+    /// `act` is a trailing activation fused into the output stage (the
+    /// `<layer> → Relu` peephole of
+    /// [`Sequential::infer_with`](crate::Sequential::infer_with)).
+    /// `Activation::Relu` must equal `y` followed by a separate
+    /// [`Relu`](crate::layers::Relu) bit for bit: layers with a GEMM
+    /// epilogue apply `v.max(0.0)` in the C-tile writeback after each
+    /// element's accumulation completes; every other layer writes `y` and
+    /// then applies `v.max(0.0)` in place.
+    ///
+    /// Implementations must not allocate once `out`'s capacity (and any
+    /// per-thread kernel scratch) has warmed up, at least for deployed
+    /// (packed) weights — this is what makes steady-state
+    /// `Sequential::infer_with` heap-silent.
+    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor);
+
+    /// Allocating [`infer_into`](Layer::infer_into) without a fused
+    /// activation. Provided; layers do not override it.
+    fn infer(&self, x: &Tensor) -> Tensor {
+        let mut out = Tensor::default();
+        self.infer_into(x, Activation::Identity, &mut out);
+        out
+    }
+
+    /// Allocating [`infer_into`](Layer::infer_into) with a trailing ReLU
+    /// fused in. Provided; layers do not override it. Always `Some`: every
+    /// layer supports the fusion.
+    fn infer_fused_relu(&self, x: &Tensor) -> Option<Tensor> {
+        let mut out = Tensor::default();
+        self.infer_into(x, Activation::Relu, &mut out);
+        Some(out)
+    }
 
     /// Backpropagates `grad_out`, accumulating parameter gradients and
     /// returning the input gradient.
@@ -89,42 +121,6 @@ pub trait Layer: Send + Sync {
     /// Baking is destructive to the nominal weights by design; it is meant
     /// for deployment snapshots, not for models that keep training.
     fn bake_noise(&mut self) {}
-
-    /// [`infer`](Layer::infer) with a trailing ReLU fused into the
-    /// layer's output stage, for layers that can fold it into their GEMM
-    /// writeback. Returns `None` when the layer has no fusion support
-    /// (the caller then runs the activation separately).
-    ///
-    /// Implementations must be **bitwise identical** to `infer` followed
-    /// by `Relu::infer` (`v.max(0.0)` applied after each output's
-    /// accumulation completes). [`crate::Sequential::infer`] uses this to
-    /// collapse `<layer> → Relu` pairs into one fused kernel; wrapper
-    /// layers can delegate to their innermost output operator.
-    fn infer_fused_relu(&self, _x: &Tensor) -> Option<Tensor> {
-        None
-    }
-
-    /// Allocation-free [`infer`](Layer::infer) into a recycled output
-    /// tensor: reshape `out` in place (its capacity is reused), write
-    /// the result and return `true`. Returning `false` (the default)
-    /// tells the caller to fall back to the allocating
-    /// [`infer`](Layer::infer) path.
-    ///
-    /// `act` is a trailing activation the caller wants fused into the
-    /// writeback (the `<layer> → Relu` peephole): implementations must
-    /// only accept `Activation::Relu` when the fused result is **bitwise
-    /// identical** to `infer` followed by `v.max(0.0)` — otherwise
-    /// return `false` and let the caller fuse/fall back itself. With
-    /// `Activation::Identity` the output contract is exactly
-    /// [`infer`](Layer::infer)'s.
-    ///
-    /// Implementations must not allocate once `out`'s capacity (and any
-    /// per-thread kernel scratch) has warmed up — this is what makes
-    /// steady-state `Sequential::infer_with` heap-silent.
-    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) -> bool {
-        let _ = (x, act, out);
-        false
-    }
 
     /// Packs the layer's frozen *effective* weights into the GEMM panel
     /// layout consumed by the inference hot path
@@ -216,4 +212,39 @@ impl Clone for Box<dyn Layer> {
     fn clone(&self) -> Self {
         self.clone_box()
     }
+}
+
+/// Test support for the [`Layer::infer_into`] contract on a random
+/// input of shape `in_dims` whose first elements are NaN, ±inf, −0.0 and
+/// +0.0 (`in_dims` must hold at least five elements).
+///
+/// Panics unless `infer_into(x, Relu, out)` equals [`Layer::infer`]
+/// followed by a separate `v.max(0.0)` bit for bit (NaN bit patterns and
+/// signed zeros included), and unless `infer_into` fully overwrites a
+/// recycled `out` that holds garbage of another shape.
+pub fn assert_infer_into_contract(layer: &dyn Layer, in_dims: &[usize], seed: u64) {
+    let mut x = cn_tensor::SeededRng::new(seed).normal_tensor(in_dims, 0.0, 1.0);
+    let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
+    x.data_mut()[..specials.len()].copy_from_slice(&specials);
+    let bits = |t: &Tensor| {
+        let data: Vec<u32> = t.data().iter().map(|v| v.to_bits()).collect();
+        (t.dims().to_vec(), data)
+    };
+    let plain = layer.infer(&x);
+    let mut out = Tensor::full(&[3, 7], f32::NAN);
+    layer.infer_into(&x, Activation::Relu, &mut out);
+    let separate = plain.map(|v| v.max(0.0));
+    assert_eq!(
+        bits(&out),
+        bits(&separate),
+        "{}: fused ReLU diverged from infer + ReLU",
+        layer.name()
+    );
+    layer.infer_into(&x, Activation::Identity, &mut out);
+    assert_eq!(
+        bits(&out),
+        bits(&plain),
+        "{}: infer_into into a recycled tensor diverged from infer",
+        layer.name()
+    );
 }

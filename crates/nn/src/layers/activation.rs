@@ -5,6 +5,7 @@
 //! regularization of the linear operators.
 
 use crate::layer::Layer;
+use cn_tensor::ops::Activation;
 use cn_tensor::Tensor;
 
 /// Logistic sigmoid activation `y = 1/(1+e^{−x})`.
@@ -31,8 +32,9 @@ impl Layer for Sigmoid {
         y
     }
 
-    fn infer(&self, x: &Tensor) -> Tensor {
-        x.sigmoid()
+    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) {
+        *out = x.sigmoid();
+        super::activate_in_place(out, act);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -80,8 +82,9 @@ impl Layer for Tanh {
         y
     }
 
-    fn infer(&self, x: &Tensor) -> Tensor {
-        x.tanh()
+    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) {
+        *out = x.tanh();
+        super::activate_in_place(out, act);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -2,6 +2,7 @@
 
 use crate::layer::Layer;
 use crate::param::Param;
+use cn_tensor::ops::Activation;
 use cn_tensor::Tensor;
 
 /// Batch normalization over the channel axis of `[N, C, H, W]` tensors.
@@ -58,7 +59,7 @@ impl BatchNorm2d {
 
     /// Standardizes `x` with the given per-channel statistics and applies
     /// the affine scale/shift, returning `(x̂, 1/σ, y)` for the backward
-    /// cache. The fused loop in [`Layer::infer`] replays the identical
+    /// cache. The fused loop in [`Layer::infer_into`] replays the identical
     /// per-element operation sequence (pinned by a bitwise test) without
     /// materializing x̂.
     fn normalize(&self, x: &Tensor, mean: &[f32], var: &[f32]) -> (Tensor, Vec<f32>, Tensor) {
@@ -147,7 +148,7 @@ impl Layer for BatchNorm2d {
         y
     }
 
-    fn infer(&self, x: &Tensor) -> Tensor {
+    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) {
         assert_eq!(x.rank(), 4, "BatchNorm2d expects NCHW input");
         assert_eq!(x.dims()[1], self.channels(), "channel mismatch");
         // Fused single-pass eval normalization: the per-element operation
@@ -160,17 +161,18 @@ impl Layer for BatchNorm2d {
         let var = self.running_var.data();
         let g = self.gamma.value.data();
         let b = self.beta.value.data();
-        let mut y = x.clone();
+        out.resize_in_place(x.dims());
+        out.data_mut().copy_from_slice(x.data());
         for ni in 0..n {
             for ci in 0..c {
                 let inv_std = 1.0 / (var[ci] + self.eps).sqrt();
                 let base = (ni * c + ci) * plane;
-                for v in &mut y.data_mut()[base..base + plane] {
+                for v in &mut out.data_mut()[base..base + plane] {
                     *v = (*v - mean[ci]) * inv_std * g[ci] + b[ci];
                 }
             }
         }
-        y
+        super::activate_in_place(out, act);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

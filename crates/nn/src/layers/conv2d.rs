@@ -132,32 +132,6 @@ impl Conv2d {
         PackedA::pack(w.data(), w.dims()[0], w.dims()[1])
     }
 
-    /// `act(conv(x, W_eff) + b)` into `out` through [`conv2d_into`],
-    /// reusing pre-packed weight panels when present (packing per
-    /// call otherwise — training, or an undeployed model).
-    fn conv_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) {
-        self.check_input(x);
-        let geo = self.geometry(x);
-        out.resize_in_place(&[x.dims()[0], self.out_channels(), geo.out_h(), geo.out_w()]);
-        let per_call;
-        let packed = match self.packed.as_deref() {
-            Some(p) => p,
-            None => {
-                per_call = self.pack_effective();
-                &per_call
-            }
-        };
-        conv2d_into(out.data_mut(), x, &geo, packed, self.b.value.data(), act);
-    }
-
-    /// The shared forward computation of `forward`, `infer` and the fused
-    /// ReLU inference path.
-    fn apply_act(&self, x: &Tensor, act: Activation) -> Tensor {
-        let mut out = Tensor::zeros(&[0]);
-        self.conv_into(x, act, &mut out);
-        out
-    }
-
     fn check_input(&self, x: &Tensor) {
         assert_eq!(x.rank(), 4, "Conv2d expects NCHW input");
         assert_eq!(
@@ -177,28 +151,28 @@ impl Layer for Conv2d {
     }
 
     fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        let y = self.apply_act(x, Activation::Identity);
+        let y = self.infer(x);
         self.cache_x = Some(x.clone());
         self.cache_geo = Some(self.geometry(x));
         y
     }
 
-    fn infer(&self, x: &Tensor) -> Tensor {
-        self.apply_act(x, Activation::Identity)
-    }
-
-    fn infer_fused_relu(&self, x: &Tensor) -> Option<Tensor> {
-        Some(self.apply_act(x, Activation::Relu))
-    }
-
-    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) -> bool {
-        // Only deployed (pre-packed) convolutions are allocation-free;
-        // unpacked layers fall back to the allocating `infer`.
-        if self.packed.is_none() {
-            return false;
-        }
-        self.conv_into(x, act, out);
-        true
+    /// `act(conv(x, W_eff) + b)` into `out` through [`conv2d_into`],
+    /// reusing pre-packed weight panels when present (packing per call
+    /// otherwise — training, or an undeployed model).
+    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) {
+        self.check_input(x);
+        let geo = self.geometry(x);
+        out.resize_in_place(&[x.dims()[0], self.out_channels(), geo.out_h(), geo.out_w()]);
+        let per_call;
+        let packed = match self.packed.as_deref() {
+            Some(p) => p,
+            None => {
+                per_call = self.pack_effective();
+                &per_call
+            }
+        };
+        conv2d_into(out.data_mut(), x, &geo, packed, self.b.value.data(), act);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

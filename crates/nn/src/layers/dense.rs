@@ -3,6 +3,7 @@
 use crate::init::{bias_uniform, kaiming_uniform};
 use crate::layer::Layer;
 use crate::param::Param;
+use cn_tensor::ops::gemm::{gemm_bias_act_into, MR};
 use cn_tensor::ops::{Activation, Layout, PackedB};
 use cn_tensor::{SeededRng, Tensor};
 use std::sync::Arc;
@@ -77,28 +78,6 @@ impl Dense {
             None => self.w.value.clone(),
         }
     }
-
-    /// The shared forward computation (used by `forward`, `infer` and the
-    /// fused ReLU inference path): `act(x·Wᵀ_eff + b)` through the GEMM
-    /// epilogue, reusing pre-packed panels when present.
-    fn apply_act(&self, x: &Tensor, act: Activation) -> Tensor {
-        assert_eq!(x.rank(), 2, "Dense expects [N, in] input");
-        assert_eq!(
-            x.dims()[1],
-            self.in_features(),
-            "Dense {}: input features {} != expected {}",
-            self.name,
-            x.dims()[1],
-            self.in_features()
-        );
-        super::matrix_infer_act(
-            x,
-            self.packed.as_deref(),
-            || self.effective_weight(),
-            &self.b.value,
-            act,
-        )
-    }
 }
 
 impl Layer for Dense {
@@ -108,18 +87,18 @@ impl Layer for Dense {
 
     fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
         self.cache_x = Some(x.clone());
-        self.apply_act(x, Activation::Identity)
+        self.infer(x)
     }
 
-    fn infer(&self, x: &Tensor) -> Tensor {
-        self.apply_act(x, Activation::Identity)
-    }
-
-    fn infer_fused_relu(&self, x: &Tensor) -> Option<Tensor> {
-        Some(self.apply_act(x, Activation::Relu))
-    }
-
-    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) -> bool {
+    // `act(x·Wᵀ_eff + b)` through one of three bitwise-identical
+    // branches (see the GEMM kernel docs):
+    // 1. pre-packed panels when the layer was deployed via
+    //    `pack_weights` (the allocation-free path),
+    // 2. a direct skinny product when `x` has fewer than `MR` rows (the
+    //    `O(k·n)` pack would cost more than the product saves),
+    // 3. pack-per-call through the fused GEMM otherwise.
+    // The effective weight is only materialized when no panels exist.
+    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) {
         assert_eq!(x.rank(), 2, "Dense expects [N, in] input");
         assert_eq!(
             x.dims()[1],
@@ -129,7 +108,19 @@ impl Layer for Dense {
             x.dims()[1],
             self.in_features()
         );
-        super::matrix_infer_act_into(x, self.packed.as_deref(), &self.b.value, act, out)
+        let bias = Some(&self.b.value);
+        if let Some(packed) = &self.packed {
+            gemm_bias_act_into(out, x, Layout::RowMajor, packed, bias, act);
+            return;
+        }
+        let w_eff = self.effective_weight();
+        if x.dims()[0] < MR {
+            *out = &x.matmul_t(&w_eff) + &self.b.value;
+            super::activate_in_place(out, act);
+            return;
+        }
+        let packed = PackedB::from_tensor(&w_eff, Layout::Transposed);
+        gemm_bias_act_into(out, x, Layout::RowMajor, &packed, bias, act);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -1,6 +1,7 @@
 //! Inverted dropout.
 
 use crate::layer::Layer;
+use cn_tensor::ops::Activation;
 use cn_tensor::{SeededRng, Tensor};
 
 /// Inverted dropout: at train time each activation is zeroed with
@@ -65,8 +66,10 @@ impl Layer for Dropout {
         y
     }
 
-    fn infer(&self, x: &Tensor) -> Tensor {
-        x.clone()
+    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) {
+        out.resize_in_place(x.dims());
+        out.data_mut().copy_from_slice(x.data());
+        super::activate_in_place(out, act);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

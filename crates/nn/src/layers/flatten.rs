@@ -1,6 +1,7 @@
 //! Flattening between convolutional and dense stages.
 
 use crate::layer::Layer;
+use cn_tensor::ops::Activation;
 use cn_tensor::Tensor;
 
 /// Flattens `[N, C, H, W]` (or any rank ≥ 2) into `[N, C·H·W]`.
@@ -27,23 +28,13 @@ impl Layer for Flatten {
         self.infer(x)
     }
 
-    fn infer(&self, x: &Tensor) -> Tensor {
-        assert!(x.rank() >= 2, "Flatten expects rank >= 2");
-        let n = x.dims()[0];
-        let rest: usize = x.dims()[1..].iter().product();
-        x.reshape(&[n, rest])
-    }
-
-    fn infer_into(&self, x: &Tensor, act: cn_tensor::ops::Activation, out: &mut Tensor) -> bool {
-        if act != cn_tensor::ops::Activation::Identity {
-            return false;
-        }
+    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) {
         assert!(x.rank() >= 2, "Flatten expects rank >= 2");
         let n = x.dims()[0];
         let rest: usize = x.dims()[1..].iter().product();
         out.resize_in_place(&[n, rest]);
         out.data_mut().copy_from_slice(x.data());
-        true
+        super::activate_in_place(out, act);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

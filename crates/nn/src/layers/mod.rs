@@ -18,59 +18,64 @@ pub use flatten::Flatten;
 pub use pool::{AvgPool2d, MaxPool2d};
 pub use relu::Relu;
 
-use cn_tensor::ops::gemm::{gemm_bias_act_into, MR};
-use cn_tensor::ops::{gemm_bias_act, Activation, Layout, PackedB};
+use cn_tensor::ops::Activation;
 use cn_tensor::Tensor;
 
-/// `Dense`'s `act(x·Wᵀ_eff + bias)` dispatch:
-///
-/// 1. pre-packed panels when the layer was deployed via `pack_weights`,
-/// 2. a direct skinny product when `x` has fewer than `MR` rows (the
-///    `O(k·n)` pack would cost more than the product saves),
-/// 3. pack-per-call through the fused GEMM otherwise.
-///
-/// All three branches are bitwise identical (see the GEMM kernel docs);
-/// `w_eff` is only materialized when no pre-packed panels exist.
-pub(crate) fn matrix_infer_act(
-    x: &Tensor,
-    packed: Option<&PackedB>,
-    w_eff: impl FnOnce() -> Tensor,
-    bias: &Tensor,
-    act: Activation,
-) -> Tensor {
-    if let Some(packed) = packed {
-        return gemm_bias_act(x, Layout::RowMajor, packed, Some(bias), act);
+/// Applies `act` to `out` in place: the output stage of layers whose
+/// kernel has no fused epilogue. `Relu` is the exact `v.max(0.0)` of a
+/// separate [`Relu`] layer, so the result stays bitwise identical to
+/// running one.
+pub(crate) fn activate_in_place(out: &mut Tensor, act: Activation) {
+    if act == Activation::Relu {
+        for v in out.data_mut() {
+            *v = v.max(0.0);
+        }
     }
-    let w_eff = w_eff();
-    if x.dims()[0] < MR {
-        let y = &x.matmul_t(&w_eff) + bias;
-        return match act {
-            Activation::Identity => y,
-            Activation::Relu => y.map(|v| v.max(0.0)),
-        };
-    }
-    let packed = PackedB::from_tensor(&w_eff, Layout::Transposed);
-    gemm_bias_act(x, Layout::RowMajor, &packed, Some(bias), act)
 }
 
-/// Allocation-free sibling of [`matrix_infer_act`] for deployed layers:
-/// only the pre-packed branch exists here (a compiled deployment always
-/// packs), writing into the recycled `out` tensor. Returns `false` when
-/// the layer is unpacked so the caller falls back to the allocating
-/// path. Bitwise identical to [`matrix_infer_act`] — same kernel, same
-/// epilogue.
-pub(crate) fn matrix_infer_act_into(
-    x: &Tensor,
-    packed: Option<&PackedB>,
-    bias: &Tensor,
-    act: Activation,
-    out: &mut Tensor,
-) -> bool {
-    match packed {
-        Some(packed) => {
-            gemm_bias_act_into(out, x, Layout::RowMajor, packed, Some(bias), act);
-            true
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::layer::{assert_infer_into_contract, Layer};
+    use cn_tensor::SeededRng;
+
+    #[test]
+    fn every_layer_meets_the_infer_into_contract() {
+        let mut rng = SeededRng::new(1);
+        let image = [2, 3, 6, 6];
+        let mut bn = BatchNorm2d::new(3);
+        bn.forward(&rng.normal_tensor(&image, 1.0, 2.0), true);
+        let shape_free: Vec<Box<dyn Layer>> = vec![
+            Box::new(Relu::new()),
+            Box::new(Dropout::new(0.5, 3)),
+            Box::new(Sigmoid::new()),
+            Box::new(Tanh::new()),
+        ];
+        for layer in &shape_free {
+            assert_infer_into_contract(layer.as_ref(), &image, 2);
+            assert_infer_into_contract(layer.as_ref(), &[3, 5], 4);
         }
-        None => false,
+        let spatial: Vec<Box<dyn Layer>> = vec![
+            Box::new(MaxPool2d::new(2)),
+            Box::new(AvgPool2d::new(2)),
+            Box::new(Flatten::new()),
+            Box::new(bn),
+        ];
+        for layer in &spatial {
+            assert_infer_into_contract(layer.as_ref(), &image, 2);
+        }
+
+        // Matrix layers: unpacked (pack-per-call, and Dense's skinny
+        // product below MR rows), then deployed with packed panels.
+        let mut conv = Conv2d::new(3, 4, 3, 1, 1, &mut rng);
+        let mut dense = Dense::new(5, 4, &mut rng);
+        for _ in 0..2 {
+            assert_infer_into_contract(&conv, &image, 2);
+            for rows in [3, 11] {
+                assert_infer_into_contract(&dense, &[rows, 5], 5);
+            }
+            conv.pack_weights();
+            dense.pack_weights();
+        }
     }
 }

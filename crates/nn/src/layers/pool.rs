@@ -35,18 +35,9 @@ impl Layer for MaxPool2d {
         y
     }
 
-    fn infer(&self, x: &Tensor) -> Tensor {
-        max_pool2d(x, self.geo).0
-    }
-
-    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) -> bool {
-        // No fused activation: pooling is not followed by an epilogue in
-        // any planned model, so only the identity contract is claimed.
-        if act != Activation::Identity {
-            return false;
-        }
+    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) {
         max_pool2d_into(x, self.geo, out);
-        true
+        super::activate_in_place(out, act);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -97,16 +88,9 @@ impl Layer for AvgPool2d {
         avg_pool2d(x, self.geo)
     }
 
-    fn infer(&self, x: &Tensor) -> Tensor {
-        avg_pool2d(x, self.geo)
-    }
-
-    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) -> bool {
-        if act != Activation::Identity {
-            return false;
-        }
+    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) {
         avg_pool2d_into(x, self.geo, out);
-        true
+        super::activate_in_place(out, act);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -1,6 +1,7 @@
 //! ReLU activation.
 
 use crate::layer::Layer;
+use cn_tensor::ops::Activation;
 use cn_tensor::Tensor;
 
 /// Rectified linear unit, `y = max(x, 0)`.
@@ -30,21 +31,12 @@ impl Layer for Relu {
         x.map(|v| v.max(0.0))
     }
 
-    fn infer(&self, x: &Tensor) -> Tensor {
-        x.map(|v| v.max(0.0))
-    }
-
-    fn infer_into(&self, x: &Tensor, act: cn_tensor::ops::Activation, out: &mut Tensor) -> bool {
-        // A trailing fused ReLU is not this layer's business — decline
-        // so the caller keeps the exact unfused sequence.
-        if act != cn_tensor::ops::Activation::Identity {
-            return false;
-        }
+    fn infer_into(&self, x: &Tensor, act: Activation, out: &mut Tensor) {
         out.resize_in_place(x.dims());
         for (o, &v) in out.data_mut().iter_mut().zip(x.data()) {
             *o = v.max(0.0);
         }
-        true
+        super::activate_in_place(out, act);
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -14,8 +14,8 @@
 //!   when training compensators against a fixed base network,
 //! - a model zoo with faithful LeNet-5 and VGG16 topologies ([`zoo`]),
 //! - a training loop with regularizer and per-batch hooks ([`trainer`]),
-//! - an immutable inference path ([`Sequential::infer`]) with
-//!   scratch-buffer batched evaluation ([`inference`]) — the substrate the
+//! - an immutable inference path ([`Sequential::infer_with`]) through
+//!   reusable ping-pong scratch ([`InferScratch`]) — the substrate the
 //!   engine layer's compiled deployments execute on.
 //!
 //! Every layer's gradients are validated against numeric differentiation in
@@ -44,7 +44,6 @@
 #![warn(missing_docs)]
 
 pub mod gradcheck;
-pub mod inference;
 pub mod init;
 pub mod layer;
 pub mod layers;
@@ -54,12 +53,10 @@ pub mod model;
 pub mod noise;
 pub mod optim;
 pub mod param;
-pub mod plan;
 pub mod summary;
 pub mod trainer;
 pub mod zoo;
 
 pub use layer::Layer;
-pub use model::Sequential;
+pub use model::{InferScratch, Sequential};
 pub use param::Param;
-pub use plan::{InferScratch, ShapePlan};

@@ -3,7 +3,6 @@
 use crate::layer::Layer;
 use crate::layers::Relu;
 use crate::param::Param;
-use crate::plan::{InferScratch, ShapePlan};
 use cn_tensor::error::{Result, TensorError};
 use cn_tensor::ops::Activation;
 use cn_tensor::Tensor;
@@ -19,6 +18,20 @@ use std::collections::HashMap;
 pub struct Sequential {
     layers: Vec<Box<dyn Layer>>,
     names: Vec<String>,
+}
+
+/// Reusable inference memory for [`Sequential::infer_with`]: two
+/// ping-pong activation tensors (a layer writes into one while reading
+/// the other).
+///
+/// Starts empty and grows on first use through
+/// [`Tensor::resize_in_place`], so it needs no sizing up front and does
+/// not depend on the model: one scratch serves any model and any batch
+/// size, and after a pass at the largest batch, reuse is allocation-free.
+#[derive(Debug, Default)]
+pub struct InferScratch {
+    ping: Tensor,
+    pong: Tensor,
 }
 
 impl Sequential {
@@ -85,46 +98,25 @@ impl Sequential {
     /// `forward(x, /*train=*/false)`; because it never mutates the model,
     /// one instance can serve concurrent inference sessions.
     ///
-    /// `<layer> → Relu` pairs execute as one fused GEMM whenever the
-    /// layer implements [`Layer::infer_fused_relu`] (`Dense`, `Conv2d`
-    /// and the compensation wrappers do; the ReLU runs in the C-tile
-    /// writeback). The fused epilogue applies the exact `v.max(0.0)` of
-    /// [`Relu`] after each element's accumulation completes, so the
-    /// bitwise guarantee above holds.
+    /// A thin allocating wrapper over [`infer_with`](Self::infer_with)
+    /// with fresh scratch.
     pub fn infer(&self, x: &Tensor) -> Tensor {
-        let mut cur = x.clone();
-        let mut i = 0;
-        while i < self.layers.len() {
-            let layer = self.layers[i].as_ref();
-            let relu_next = self
-                .layers
-                .get(i + 1)
-                .is_some_and(|l| l.as_any().is::<Relu>());
-            if relu_next {
-                if let Some(fused) = layer.infer_fused_relu(&cur) {
-                    cur = fused;
-                    i += 2;
-                    continue;
-                }
-            }
-            cur = layer.infer(&cur);
-            i += 1;
-        }
-        cur
+        self.infer_with(x, &mut InferScratch::default()).clone()
     }
 
     /// [`infer`](Self::infer) through caller-owned scratch: the
     /// allocation-free steady-state entry point.
     ///
-    /// Layers that implement [`Layer::infer_into`] write into the
-    /// scratch's ping-pong activation tensors; layers without an
-    /// into-path fall back to the allocating
-    /// [`Layer::infer`] (warmup and exotic layers only — the deployed
-    /// dense/conv stacks cover every step). The `<layer> → Relu` fusion
-    /// peephole of [`infer`](Self::infer) is preserved, and the result is
-    /// bitwise identical to `infer(x)` — same kernels, same epilogues,
-    /// only the output memory differs.
+    /// Every layer writes its [`Layer::infer_into`] output into one of
+    /// the scratch's two ping-pong tensors while reading the other. A
+    /// `<layer> → Relu` pair runs as one step with the ReLU fused into the
+    /// layer's output stage (the C-tile writeback for `Dense`, `Conv2d`
+    /// and the compensation wrappers; an in-place `v.max(0.0)` elsewhere),
+    /// which is bitwise identical to running the [`Relu`] separately.
     ///
+    /// The scratch grows on first use and is independent of the model, so
+    /// one scratch can serve any sequence of models and batch sizes; once
+    /// it has seen the largest batch, further calls allocate nothing.
     /// The returned reference borrows from `scratch`; copy it out (or
     /// consume it) before the next call overwrites the buffers.
     pub fn infer_with<'s>(&self, x: &Tensor, scratch: &'s mut InferScratch) -> &'s Tensor {
@@ -134,30 +126,18 @@ impl Sequential {
         let mut first = true;
         let mut i = 0;
         while i < self.layers.len() {
-            let layer = self.layers[i].as_ref();
             let input: &Tensor = if first { x } else { &*src };
-            let relu_next = self
+            let fuse_relu = self
                 .layers
                 .get(i + 1)
                 .is_some_and(|l| l.as_any().is::<Relu>());
-            let mut fused = false;
-            if relu_next {
-                if layer.infer_into(input, Activation::Relu, dst) {
-                    fused = true;
-                } else if let Some(y) = layer.infer_fused_relu(input) {
-                    // Allocating fused fallback (unpacked layers).
-                    *dst = y;
-                    fused = true;
-                }
-            }
-            if fused {
-                i += 2;
-            } else if layer.infer_into(input, Activation::Identity, dst) {
-                i += 1;
+            let act = if fuse_relu {
+                Activation::Relu
             } else {
-                *dst = layer.infer(input);
-                i += 1;
-            }
+                Activation::Identity
+            };
+            self.layers[i].infer_into(input, act, dst);
+            i += if fuse_relu { 2 } else { 1 };
             std::mem::swap(&mut src, &mut dst);
             first = false;
         }
@@ -167,27 +147,6 @@ impl Sequential {
             src.data_mut().copy_from_slice(x.data());
         }
         &*src
-    }
-
-    /// Measures the scratch a deployment of this model needs at
-    /// `[max_batch, …sample_dims]` inputs by dry-running every layer on
-    /// zeros (plan-time allocations are fine; the point is that the
-    /// steady state afterwards makes none).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_batch` is zero or the model rejects the shape.
-    pub fn shape_plan(&self, sample_dims: &[usize], max_batch: usize) -> ShapePlan {
-        assert!(max_batch > 0, "shape plan needs a positive max batch");
-        let mut dims = vec![max_batch];
-        dims.extend_from_slice(sample_dims);
-        let mut peak = 0usize;
-        let mut cur = Tensor::zeros(&dims);
-        for layer in &self.layers {
-            cur = layer.infer(&cur);
-            peak = peak.max(cur.numel());
-        }
-        ShapePlan::new(max_batch, sample_dims, peak)
     }
 
     /// Runs the forward pass, returning every intermediate activation
@@ -522,8 +481,9 @@ mod tests {
     fn fused_and_packed_infer_stays_bitwise_equal_to_forward() {
         use crate::layers::{Conv2d, Flatten, MaxPool2d, Relu};
         let mut rng = SeededRng::new(12);
-        // Exercises both fusion pairs (Conv2d→Relu, Dense→Relu), a relu
-        // that cannot fuse (after pooling), and a trailing bare Dense.
+        // Exercises the GEMM-epilogue fusion pairs (Conv2d→Relu,
+        // Dense→Relu), the in-place fusion of MaxPool2d→Relu, and a
+        // trailing bare Dense.
         let mut m = Sequential::new(vec![
             Box::new(Conv2d::new(1, 4, 3, 1, 1, &mut rng)),
             Box::new(Relu::new()),
@@ -544,7 +504,6 @@ mod tests {
     #[test]
     fn infer_with_is_bitwise_equal_to_infer() {
         use crate::layers::{Conv2d, Flatten, MaxPool2d, Relu};
-        use crate::plan::InferScratch;
         let mut rng = SeededRng::new(13);
         let mut m = Sequential::new(vec![
             Box::new(Conv2d::new(1, 4, 3, 1, 1, &mut rng)),
@@ -557,9 +516,8 @@ mod tests {
             Box::new(Dense::new(8, 3, &mut rng)),
         ]);
         let x = rng.normal_tensor(&[2, 1, 6, 6], 0.0, 1.0);
-        let plan = m.shape_plan(&[1, 6, 6], 2);
-        let mut scratch = InferScratch::from_plan(&plan);
-        // Unpacked: into-paths decline, every fallback still matches.
+        let mut scratch = InferScratch::default();
+        // Unpacked layers pack per call into the same scratch.
         assert_eq!(*m.infer_with(&x, &mut scratch), m.infer(&x));
         m.pack_weights();
         let reference = m.infer(&x);
@@ -568,26 +526,14 @@ mod tests {
         assert_eq!(*m.infer_with(&x, &mut scratch), reference);
         let x1 = rng.normal_tensor(&[1, 1, 6, 6], 0.0, 1.0);
         assert_eq!(*m.infer_with(&x1, &mut scratch), m.infer(&x1));
-    }
-
-    #[test]
-    fn shape_plan_covers_and_sizes() {
-        use crate::layers::{Conv2d, Flatten, Relu};
-        let mut rng = SeededRng::new(14);
-        let m = Sequential::new(vec![
-            Box::new(Conv2d::new(1, 4, 3, 1, 1, &mut rng)),
-            Box::new(Relu::new()),
-            Box::new(Flatten::new()),
-            Box::new(Dense::new(4 * 6 * 6, 3, &mut rng)),
-        ]);
-        let plan = m.shape_plan(&[1, 6, 6], 8);
-        assert!(plan.covers(&[8, 1, 6, 6]));
-        assert!(plan.covers(&[1, 1, 6, 6]));
-        assert!(!plan.covers(&[9, 1, 6, 6]));
-        assert!(!plan.covers(&[8, 1, 6, 7]));
-        assert!(!plan.covers(&[8, 6, 6]));
-        // Peak activation is the conv output [8, 4, 6, 6].
-        assert_eq!(plan.peak_activation_elems(), 8 * 4 * 6 * 6);
+        // The scratch does not depend on the model: a different
+        // architecture reuses it as is.
+        let other = mlp(&mut rng);
+        let x2 = rng.normal_tensor(&[3, 4], 0.0, 1.0);
+        assert_eq!(*other.infer_with(&x2, &mut scratch), other.infer(&x2));
+        // A zero-layer model returns its input.
+        let empty = Sequential::new(Vec::new());
+        assert_eq!(*empty.infer_with(&x2, &mut scratch), x2);
     }
 
     #[test]

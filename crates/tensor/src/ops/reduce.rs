@@ -69,21 +69,32 @@ impl Tensor {
     ///
     /// Panics if the tensor is not rank-2 or has zero columns.
     pub fn argmax_rows(&self) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.argmax_rows_into(&mut out);
+        out
+    }
+
+    /// [`argmax_rows`](Self::argmax_rows) into a caller-owned buffer:
+    /// `out` is cleared and refilled, so a reused buffer allocates nothing
+    /// once it has held `n` indices. Ties pick the first maximum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tensor is not rank-2 or has zero columns.
+    pub fn argmax_rows_into(&self, out: &mut Vec<usize>) {
         assert_eq!(self.rank(), 2, "argmax_rows requires a rank-2 tensor");
         let (n, c) = (self.dims()[0], self.dims()[1]);
         assert!(c > 0, "argmax_rows requires at least one column");
-        (0..n)
-            .map(|r| {
-                let row = &self.data()[r * c..(r + 1) * c];
-                let mut best = 0;
-                for i in 1..c {
-                    if row[i] > row[best] {
-                        best = i;
-                    }
+        out.clear();
+        out.extend(self.data().chunks_exact(c).take(n).map(|row| {
+            let mut best = 0;
+            for i in 1..c {
+                if row[i] > row[best] {
+                    best = i;
                 }
-                best
-            })
-            .collect()
+            }
+            best
+        }));
     }
 
     /// Sums a rank-2 tensor over its rows, producing a `[cols]` tensor
@@ -178,6 +189,18 @@ mod tests {
     fn argmax_rows_basic() {
         let t = Tensor::from_vec(vec![0.1, 0.9, 0.7, 0.2], &[2, 2]);
         assert_eq!(t.argmax_rows(), vec![1, 0]);
+    }
+
+    #[test]
+    fn argmax_rows_into_reuses_the_buffer() {
+        let t = Tensor::from_vec(vec![0.1, 0.9, 0.7, 0.2, 3.0, 3.0], &[3, 2]);
+        let mut out = vec![9; 5];
+        t.argmax_rows_into(&mut out);
+        // Stale contents are cleared; ties pick the first maximum.
+        assert_eq!(out, vec![1, 0, 0]);
+        let ptr = out.as_ptr();
+        t.argmax_rows_into(&mut out);
+        assert_eq!(out.as_ptr(), ptr, "reused buffer was reallocated");
     }
 
     #[test]
