@@ -3,7 +3,8 @@
 
 use cn_nn::layers::Conv2d;
 use cn_nn::Layer;
-use cn_tensor::SeededRng;
+use cn_tensor::ops::{col2im, conv2d_backward, im2col, nchw_to_rows, Conv2dGeometry};
+use cn_tensor::{SeededRng, Tensor};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -39,18 +40,88 @@ fn bench_conv_forward(c: &mut Criterion) {
 
 fn bench_conv_backward(c: &mut Criterion) {
     let mut rng = SeededRng::new(3);
-    let mut conv = Conv2d::new(16, 16, 3, 1, 1, &mut rng);
-    let x = rng.normal_tensor(&[8, 16, 16, 16], 0.0, 1.0);
-    let y = conv.forward(&x, true);
-    let g = rng.normal_tensor(y.dims(), 0.0, 1.0);
+    // Forward plus backward at the shapes CorrectNet training runs: LeNet's
+    // two convolutions at batch 32, the 1×1 generator of the conv1
+    // compensation wrapper (ratio 0.5: 1 + 6 inputs, 3 filters), and a
+    // 16-channel 3×3 block.
+    let shapes: [(&str, Conv2d, [usize; 4]); 4] = [
+        (
+            "fwd_bwd_16c_b8",
+            Conv2d::new(16, 16, 3, 1, 1, &mut rng),
+            [8, 16, 16, 16],
+        ),
+        (
+            "lenet_conv1_b32",
+            Conv2d::new(1, 6, 5, 1, 2, &mut rng),
+            [32, 1, 28, 28],
+        ),
+        (
+            "lenet_conv2_b32",
+            Conv2d::new(6, 16, 5, 1, 0, &mut rng),
+            [32, 6, 14, 14],
+        ),
+        (
+            "comp1x1_b32",
+            Conv2d::new(7, 3, 1, 1, 0, &mut rng),
+            [32, 7, 28, 28],
+        ),
+    ];
     // Grouped so the baseline taxonomy is uniformly group/id.
     let mut group = c.benchmark_group("conv2d_train");
-    group.bench_function("fwd_bwd_16c_b8", |b| {
-        b.iter(|| {
-            let _ = conv.forward(&x, true);
-            black_box(conv.backward(&g))
+    for (id, mut conv, dims) in shapes {
+        let x = rng.normal_tensor(&dims, 0.0, 1.0);
+        let y = conv.forward(&x, true);
+        let g = rng.normal_tensor(y.dims(), 0.0, 1.0);
+        conv.backward(&g);
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                let _ = conv.forward(&x, true);
+                black_box(conv.backward(&g))
+            });
         });
-    });
+    }
+    group.finish();
+}
+
+fn bench_conv_backward_kernel(c: &mut Criterion) {
+    // Backward only: the `im2col`/`col2im` reference chain against
+    // `conv2d_backward`, which matches it bit for bit.
+    let mut rng = SeededRng::new(5);
+    let mut group = c.benchmark_group("conv2d_backward");
+    for (id, c_in, oc, k, pad, hw) in [
+        ("lenet_conv1_b32", 1, 6, 5, 2, 28),
+        ("lenet_conv2_b32", 6, 16, 5, 0, 14),
+    ] {
+        let geo = Conv2dGeometry {
+            in_c: c_in,
+            in_h: hw,
+            in_w: hw,
+            kh: k,
+            kw: k,
+            stride: 1,
+            pad,
+        };
+        let x = rng.normal_tensor(&[32, c_in, hw, hw], 0.0, 1.0);
+        let w = rng.normal_tensor(&[oc, geo.patch_len()], 0.0, 1.0);
+        let dy = rng.normal_tensor(&[32, oc, geo.out_h(), geo.out_w()], 0.0, 1.0);
+        group.bench_function(format!("chain_{id}"), |b| {
+            b.iter(|| {
+                let g = nchw_to_rows(&dy);
+                let dw = g.t_matmul(&im2col(&x, &geo));
+                black_box((dw, g.sum_rows(), col2im(&g.matmul(&w), &geo, 32)))
+            });
+        });
+        group.bench_function(format!("kernel_{id}"), |b| {
+            b.iter(|| {
+                let mut dw = Tensor::zeros(w.dims());
+                let mut db = Tensor::zeros(&[oc]);
+                let mut dx = Tensor::zeros(x.dims());
+                let (gw, gb, gx) = (dw.data_mut(), db.data_mut(), dx.data_mut());
+                conv2d_backward(&x, &geo, w.data(), &dy, gw, gb, gx);
+                black_box((dw, db, dx))
+            });
+        });
+    }
     group.finish();
 }
 
@@ -86,6 +157,7 @@ criterion_group! {
     targets = bench_matmul,
     bench_conv_forward,
     bench_conv_backward,
+    bench_conv_backward_kernel,
     bench_noise_mask_application
 
 }

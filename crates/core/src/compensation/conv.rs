@@ -326,6 +326,19 @@ mod tests {
         assert!(r.passes(3e-2), "{r:?}");
     }
 
+    /// A stride-2 base routes the generator's input branch through the
+    /// average pool; its backward must still match numeric gradients.
+    #[test]
+    fn gradients_match_numeric_with_strided_base() {
+        let mut w = CompensatedConv2d::wrap(base_conv(2, 3, 2), 0.5, 20);
+        let mut rng = SeededRng::new(21);
+        for p in w.generator.params_mut() {
+            p.value = rng.normal_tensor(p.value.dims(), 0.0, 0.3);
+        }
+        let r = cn_nn::gradcheck::check_layer(&mut w, &[2, 2, 6, 6], 22, 1e-2, true);
+        assert!(r.passes(3e-2), "{r:?}");
+    }
+
     #[test]
     fn noise_does_not_touch_compensation_weights() {
         let mut w = CompensatedConv2d::wrap(base_conv(2, 3, 1), 0.5, 12);

@@ -4,9 +4,7 @@
 use crate::init::{bias_uniform, kaiming_uniform};
 use crate::layer::Layer;
 use crate::param::Param;
-use cn_tensor::ops::{
-    col2im, conv2d_into, im2col, nchw_to_rows, Activation, Conv2dGeometry, PackedA,
-};
+use cn_tensor::ops::{conv2d_backward, conv2d_into, Activation, Conv2dGeometry, PackedA};
 use cn_tensor::{SeededRng, Tensor};
 use std::sync::Arc;
 
@@ -17,9 +15,9 @@ use std::sync::Arc;
 /// the paper's eq. 9–11 constrains). Weights are analog-mapped and accept a
 /// multiplicative noise mask shaped like the kernel.
 ///
-/// The forward pass runs [`conv2d_into`], which never materializes the
-/// patch matrix. The backward pass needs it for the weight gradient and
-/// re-runs `im2col` on the cached input rather than caching it.
+/// The forward pass runs [`conv2d_into`] and the backward pass
+/// [`conv2d_backward`]; both read NCHW tensors directly, so no patch
+/// matrix is ever materialized. Only the input is cached for backward.
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     name: String,
@@ -181,24 +179,25 @@ impl Layer for Conv2d {
             .take()
             .expect("Conv2d::backward called before forward");
         let geo = self.cache_geo.take().expect("geometry cache missing");
-        let batch = x.dims()[0];
-        let g_rows = nchw_to_rows(grad_out);
-
-        // dW = g_rowsᵀ·cols, chained through the noise mask. The patch
-        // matrix is freed before `dcols` (the same size) is allocated, so
-        // the two never coexist and the allocator can reuse the memory.
-        let mut dw = g_rows
-            .t_matmul(&im2col(&x, &geo))
-            .into_reshaped(self.w.value.dims());
+        let mut dw = Tensor::zeros(self.w.value.dims());
+        let mut db = Tensor::zeros(self.b.value.dims());
+        let mut dx = Tensor::zeros(x.dims());
+        conv2d_backward(
+            &x,
+            &geo,
+            self.effective_weight_matrix().data(),
+            grad_out,
+            dw.data_mut(),
+            db.data_mut(),
+            dx.data_mut(),
+        );
+        // The weight gradient chains through the noise mask.
         if let Some(mask) = &self.noise {
             dw = dw.zip_map(mask, |g, m| g * m);
         }
         self.w.accumulate(&dw);
-        self.b.accumulate(&g_rows.sum_rows());
-
-        let wmat = self.effective_weight_matrix();
-        let dcols = g_rows.matmul(&wmat);
-        col2im(&dcols, &geo, batch)
+        self.b.accumulate(&db);
+        dx
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

@@ -19,19 +19,22 @@ proptest! {
         prop_assert!(r.passes(3e-2), "{r:?}");
     }
 
-    /// Conv2d gradients pass numeric checking across geometries.
+    /// Conv2d gradients pass numeric checking across geometries, strides
+    /// and batch sizes.
     #[test]
     fn conv_gradcheck(
         in_c in 1usize..3,
         out_c in 1usize..3,
         k in 1usize..4,
+        stride in 1usize..3,
         pad in 0usize..2,
+        batch in 1usize..3,
         seed in 0u64..300,
     ) {
         let size = k + 2; // always big enough
         let mut rng = SeededRng::new(seed);
-        let mut layer = Conv2d::new(in_c, out_c, k, 1, pad, &mut rng);
-        let r = check_layer(&mut layer, &[1, in_c, size, size], seed ^ 2, 1e-2, true);
+        let mut layer = Conv2d::new(in_c, out_c, k, stride, pad, &mut rng);
+        let r = check_layer(&mut layer, &[batch, in_c, size, size], seed ^ 2, 1e-2, true);
         prop_assert!(r.passes(4e-2), "{r:?}");
     }
 

@@ -10,8 +10,9 @@
 //! - packed, register-tiled, multi-threaded matrix multiplication with
 //!   fused bias/ReLU epilogues and reusable pre-packed weight panels
 //!   ([`ops::gemm`]; [`ops::matmul`] holds the `Tensor` entry points),
-//! - the convolution kernel (im2col fused into GEMM panel packing),
-//!   `im2col`/`col2im` for the backward pass, and pooling kernels,
+//! - the convolution kernels (forward and backward read NCHW tensors
+//!   straight into GEMM panels), the `im2col`/`col2im` reference
+//!   lowering, and pooling kernels,
 //! - the linear algebra needed by Lipschitz-constant regularization
 //!   (power iteration, Gram matrices, orthogonality penalties — [`linalg`]),
 //! - seeded random sampling including Box–Muller normal and log-normal

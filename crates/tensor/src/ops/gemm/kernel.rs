@@ -97,6 +97,48 @@ pub(super) fn microkernel(k: usize, ap: &[f32], bp: &[f32], path: KernelPath) ->
     acc
 }
 
+/// Continues an accumulator tile over `k` more ascending reduction steps,
+/// with the A operand read as `MR` rows at stride `lda` (`a[ir·lda + kk]`)
+/// instead of a packed panel — the convolution weight gradient gathers
+/// patch rows this way, as contiguous spans of the NCHW input. Each lane
+/// performs the same multiply-then-add sequence as [`microkernel`], so
+/// feeding a tile back in over consecutive reduction ranges equals one
+/// pass over their concatenation: one accumulator carried across images.
+///
+/// # Panics
+///
+/// Panics unless `a` holds `MR` rows of `k` at stride `lda` and
+/// `bp.len() >= k * NR`.
+#[inline]
+pub(super) fn microkernel_rows_from(
+    mut acc: [[f32; NR]; MR],
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    bp: &[f32],
+    path: KernelPath,
+) -> [[f32; NR]; MR] {
+    assert!(k <= lda && a.len() >= (MR - 1) * lda + k && bp.len() >= k * NR);
+    match path {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        // SAFETY: as in `microkernel`; the operand extents were asserted
+        // above.
+        KernelPath::Avx => unsafe { microkernel_rows_from_avx(k, a, lda, bp, &mut acc) },
+        KernelPath::Portable => {
+            for kk in 0..k {
+                let b: &[f32; NR] = bp[kk * NR..kk * NR + NR].try_into().unwrap();
+                for (ir, acc_row) in acc.iter_mut().enumerate() {
+                    let aik = a[ir * lda + kk];
+                    for (c, &bkj) in acc_row.iter_mut().zip(b.iter()) {
+                        *c += aik * bkj;
+                    }
+                }
+            }
+        }
+    }
+    acc
+}
+
 /// Partial-tile variant for row panels with fewer than `MR` live rows
 /// (short-`m` products and ragged tails): accumulates only the first
 /// `rows` lanes, row by row, so a batch-1 inference performs `k·n`
@@ -213,6 +255,43 @@ unsafe fn microkernel_rows_avx(
     }
 }
 
+/// AVX body of [`microkernel_rows_from`]: [`microkernel_avx`] with the
+/// accumulators loaded from `acc` and `a` read row-major.
+///
+/// # Safety
+///
+/// Requires the `avx` target feature, `a.len() >= (MR - 1) * lda + k`
+/// and `bp.len() >= k * NR`.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx")]
+unsafe fn microkernel_rows_from_avx(
+    k: usize,
+    a: &[f32],
+    lda: usize,
+    bp: &[f32],
+    acc: &mut [[f32; NR]; MR],
+) {
+    #[cfg(target_arch = "x86")]
+    use core::arch::x86::*;
+    #[cfg(target_arch = "x86_64")]
+    use core::arch::x86_64::*;
+
+    let mut rows = [_mm256_setzero_ps(); MR];
+    for (row, acc_row) in rows.iter_mut().zip(acc.iter()) {
+        *row = _mm256_loadu_ps(acc_row.as_ptr());
+    }
+    for kk in 0..k {
+        let b = _mm256_loadu_ps(bp.as_ptr().add(kk * NR));
+        for (ir, row) in rows.iter_mut().enumerate() {
+            let a = _mm256_set1_ps(*a.get_unchecked(ir * lda + kk));
+            *row = _mm256_add_ps(*row, _mm256_mul_ps(a, b));
+        }
+    }
+    for (acc_row, row) in acc.iter_mut().zip(rows.iter()) {
+        _mm256_storeu_ps(acc_row.as_mut_ptr(), *row);
+    }
+}
+
 /// Placement of an accumulator tile's valid corner inside the output:
 /// `rows × cols` elements written at `(row0, col0)`.
 #[derive(Debug, Clone, Copy)]
@@ -313,6 +392,32 @@ mod tests {
                 let partial = microkernel_rows(k, &ap, &bp, rows, path);
                 assert_eq!(&partial[..rows], &reference[..rows], "rows {rows}");
             }
+        }
+    }
+
+    /// Reading A row-major and carrying the tile across two reduction
+    /// ranges is the float-op sequence of one packed call over both.
+    #[test]
+    fn carried_row_major_tile_matches_one_packed_call() {
+        let (k1, k2, lda) = (5, 7, 13);
+        let a: Vec<f32> = (0..MR * lda)
+            .map(|v| ((v * 31) % 19) as f32 * 0.3 - 2.9)
+            .collect();
+        let bp: Vec<f32> = (0..(k1 + k2) * NR)
+            .map(|v| ((v * 17) % 23) as f32 * 0.7 - 8.1)
+            .collect();
+        let mut ap = vec![0.0; (k1 + k2) * MR];
+        for kk in 0..k1 + k2 {
+            for ir in 0..MR {
+                ap[kk * MR + ir] = a[ir * lda + kk];
+            }
+        }
+        for path in [select_path(), KernelPath::Portable] {
+            let whole = microkernel(k1 + k2, &ap, &bp, path);
+            let zero = [[0.0; NR]; MR];
+            let first = microkernel_rows_from(zero, k1, &a, lda, &bp, path);
+            let carried = microkernel_rows_from(first, k2, &a[k1..], lda, &bp[k1 * NR..], path);
+            assert_eq!(carried, whole);
         }
     }
 

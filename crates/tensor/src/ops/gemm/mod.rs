@@ -38,7 +38,7 @@ mod conv;
 mod kernel;
 mod pack;
 
-pub use conv::conv2d_into;
+pub use conv::{conv2d_backward, conv2d_into};
 pub use kernel::Epilogue;
 pub use pack::{Layout, PackedA, PackedB};
 

@@ -68,29 +68,8 @@ impl PackedB {
             "PackedB::pack: buffer holds {} floats, expected {k}×{n}",
             b.len()
         );
-        let panels = n.div_ceil(NR);
-        let mut data = vec![0.0f32; panels * k * NR];
-        for p in 0..panels {
-            let j0 = p * NR;
-            let cols = NR.min(n - j0);
-            let panel = &mut data[p * k * NR..(p + 1) * k * NR];
-            match layout {
-                Layout::RowMajor => {
-                    for kk in 0..k {
-                        panel[kk * NR..kk * NR + cols]
-                            .copy_from_slice(&b[kk * n + j0..kk * n + j0 + cols]);
-                    }
-                }
-                Layout::Transposed => {
-                    for jr in 0..cols {
-                        let col = &b[(j0 + jr) * k..(j0 + jr + 1) * k];
-                        for (kk, &v) in col.iter().enumerate() {
-                            panel[kk * NR + jr] = v;
-                        }
-                    }
-                }
-            }
-        }
+        let mut data = vec![0.0f32; n.div_ceil(NR) * k * NR];
+        pack_b_panels(b, k, n, layout, &mut data);
         PackedB { data, k, n }
     }
 
@@ -150,6 +129,12 @@ impl PackedA {
     ///
     /// Panics if `a.len() != m * k`.
     pub fn pack(a: &[f32], m: usize, k: usize) -> PackedA {
+        PackedA::pack_layout(a, m, k, Layout::RowMajor)
+    }
+
+    /// Packs a logical `[m, k]` operand stored per `layout` (`Transposed`:
+    /// the buffer is `[k, m]`, as a weight matrix seen as `Wᵀ`).
+    pub(super) fn pack_layout(a: &[f32], m: usize, k: usize, layout: Layout) -> PackedA {
         assert_eq!(
             a.len(),
             m * k,
@@ -157,7 +142,7 @@ impl PackedA {
             a.len()
         );
         let mut data = vec![0.0f32; m.div_ceil(MR) * MR * k];
-        pack_a_block(a, m, k, Layout::RowMajor, 0, m, &mut data);
+        pack_a_block(a, m, k, layout, 0, m, &mut data);
         PackedA { data, m, k }
     }
 
@@ -179,6 +164,35 @@ impl PackedA {
     /// The packed `k × MR` panel covering rows `[p·MR, min(m, (p+1)·MR))`.
     pub(super) fn panel(&self, p: usize) -> &[f32] {
         &self.data[p * self.k * MR..(p + 1) * self.k * MR]
+    }
+}
+
+/// Packs the logical `[k, n]` right operand stored per `layout` into
+/// `NR`-column panels in `buf` (`n.div_ceil(NR) * k * NR` floats). Lanes
+/// past a ragged last panel's `n` are left as they were: callers that
+/// reuse a buffer rely on them feeding only discarded accumulator columns.
+pub(super) fn pack_b_panels(b: &[f32], k: usize, n: usize, layout: Layout, buf: &mut [f32]) {
+    debug_assert_eq!(buf.len(), n.div_ceil(NR) * k * NR);
+    for p in 0..n.div_ceil(NR) {
+        let j0 = p * NR;
+        let cols = NR.min(n - j0);
+        let panel = &mut buf[p * k * NR..(p + 1) * k * NR];
+        match layout {
+            Layout::RowMajor => {
+                for kk in 0..k {
+                    panel[kk * NR..kk * NR + cols]
+                        .copy_from_slice(&b[kk * n + j0..kk * n + j0 + cols]);
+                }
+            }
+            Layout::Transposed => {
+                for jr in 0..cols {
+                    let col = &b[(j0 + jr) * k..(j0 + jr + 1) * k];
+                    for (kk, &v) in col.iter().enumerate() {
+                        panel[kk * NR + jr] = v;
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -2,13 +2,14 @@
 //!
 //! `im2col` unrolls every receptive field of an `[N, C, H, W]` input into
 //! a row of a `[N·oh·ow, C·kh·kw]` patch matrix, so a convolution is the
-//! product of that matrix with the `[out_c, C·kh·kw]` kernel matrix.
-//! The forward pass does not materialize it — [`crate::ops::conv2d_into`]
-//! gathers patches straight into GEMM panels — but the backward pass
-//! does, to form weight gradients, and `col2im`, the exact adjoint,
-//! scatters input gradients. The explicit chain
-//! `rows_to_nchw(im2col(x) · Wᵀ + b)` is also the reference the
-//! convolution kernel is tested against bit for bit.
+//! product of that matrix with the `[out_c, C·kh·kw]` kernel matrix, and
+//! `col2im`, the exact adjoint, scatters patch gradients back to the
+//! input. Neither training nor inference materializes them:
+//! [`crate::ops::conv2d_into`] and [`crate::ops::conv2d_backward`] gather
+//! from and scatter to NCHW tensors directly. The explicit chains —
+//! `rows_to_nchw(im2col(x) · Wᵀ + b)` forward, `nchw_to_rows(dY)ᵀ ·
+//! im2col(x)` and `col2im(nchw_to_rows(dY) · W)` backward — are the
+//! references those kernels are tested against bit for bit.
 
 use crate::parallel::parallel_chunks_mut;
 use crate::tensor::Tensor;

@@ -1,6 +1,6 @@
 //! Tensor operations: elementwise arithmetic, packed register-tiled
-//! matrix multiplication and the convolution kernel ([`gemm`]),
-//! reductions, `im2col`/`col2im` lowering (backward pass), pooling and
+//! matrix multiplication and the convolution kernels ([`gemm`]),
+//! reductions, the `im2col`/`col2im` reference lowering, pooling and
 //! padding.
 
 pub mod axis;
@@ -16,8 +16,8 @@ pub mod reduce;
 pub use concat::{concat_channels, split_channels};
 pub use elementwise::{broadcast_zip, reduce_to_suffix};
 pub use gemm::{
-    conv2d_into, gemm_bias_act, gemm_bias_act_into, gemm_into, Activation, Epilogue, Layout,
-    PackedA, PackedB,
+    conv2d_backward, conv2d_into, gemm_bias_act, gemm_bias_act_into, gemm_into, Activation,
+    Epilogue, Layout, PackedA, PackedB,
 };
 pub use im2col::{col2im, conv_out_dim, im2col, nchw_to_rows, rows_to_nchw, Conv2dGeometry};
 pub use pad::{pad_nchw, unpad_nchw};

@@ -1,13 +1,19 @@
-//! Property tests for the convolution kernel.
+//! Property tests for the convolution kernels.
 //!
 //! [`conv2d_into`] fuses the `im2col` gather into GEMM panel packing and
 //! writes NCHW directly, but it must still be **bitwise identical** to the
 //! explicit lowering chain it replaced, kept here as the reference:
-//! `im2col → matmul_t → +bias → max(0) → rows_to_nchw`. Shapes are drawn
-//! so that output channels and output positions are mostly not multiples
+//! `im2col → matmul_t → +bias → max(0) → rows_to_nchw`. Likewise
+//! [`conv2d_backward`] reads NCHW tensors directly and must match the
+//! chain `g = nchw_to_rows(dY)`, `dW = gᵀ·im2col(X)`, `db = g.sum_rows()`,
+//! `dX = col2im(g·W)` bit for bit. Shapes are drawn so that output
+//! channels, patch lengths and output positions are mostly not multiples
 //! of the 8-wide register tile, and inputs may carry NaN, ±inf and −0.0.
 
-use cn_tensor::ops::{conv2d_into, im2col, rows_to_nchw, Activation, Conv2dGeometry, PackedA};
+use cn_tensor::ops::{
+    col2im, conv2d_backward, conv2d_into, im2col, nchw_to_rows, rows_to_nchw, Activation,
+    Conv2dGeometry, PackedA,
+};
 use cn_tensor::{SeededRng, Tensor};
 use proptest::prelude::*;
 
@@ -44,6 +50,24 @@ fn reference(x: &Tensor, geo: &Conv2dGeometry, w: &Tensor, b: &Tensor, act: Acti
     rows_to_nchw(&rows, x.dims()[0], w.dims()[0], geo.out_h(), geo.out_w())
 }
 
+/// Random geometry: the smallest input the kernel fits, plus a margin.
+fn geometry(
+    (c, dh, dw, k): (usize, usize, usize, usize),
+    stride: usize,
+    pad: usize,
+) -> Conv2dGeometry {
+    let min = k.saturating_sub(2 * pad).max(1);
+    Conv2dGeometry {
+        in_c: c,
+        in_h: min + dh,
+        in_w: min + dw,
+        kh: k,
+        kw: k,
+        stride,
+        pad,
+    }
+}
+
 /// One random case: the kernel against the reference on the same data.
 fn check_case(
     (c, dh, dw, oc, k): (usize, usize, usize, usize, usize),
@@ -54,17 +78,7 @@ fn check_case(
     poison_rate: f32,
     seed: u64,
 ) -> Result<(), TestCaseError> {
-    // Smallest input the kernel fits, plus a random margin.
-    let min = k.saturating_sub(2 * pad).max(1);
-    let geo = Conv2dGeometry {
-        in_c: c,
-        in_h: min + dh,
-        in_w: min + dw,
-        kh: k,
-        kw: k,
-        stride,
-        pad,
-    };
+    let geo = geometry((c, dh, dw, k), stride, pad);
     let mut rng = SeededRng::new(seed);
     let mut x = rng.normal_tensor(&[batch, c, geo.in_h, geo.in_w], 0.0, 1.0);
     let mut w = rng.normal_tensor(&[oc, geo.patch_len()], 0.0, 1.0);
@@ -82,6 +96,54 @@ fn check_case(
     let mut got = Tensor::zeros(&[batch, oc, geo.out_h(), geo.out_w()]);
     conv2d_into(got.data_mut(), &x, &geo, &packed, b.data(), act);
     assert_bit_identical(&got, &reference(&x, &geo, &w, &b, act))
+}
+
+/// The backward reference chain: `(dW, db, dX)`.
+fn backward_reference(
+    x: &Tensor,
+    geo: &Conv2dGeometry,
+    w: &Tensor,
+    dy: &Tensor,
+) -> (Tensor, Tensor, Tensor) {
+    let g = nchw_to_rows(dy);
+    let dw = g.t_matmul(&im2col(x, geo));
+    let dx = col2im(&g.matmul(w), geo, x.dims()[0]);
+    (dw, g.sum_rows(), dx)
+}
+
+/// One random backward case: `conv2d_backward` against the chain.
+fn check_backward_case(
+    (c, dh, dw, oc, k): (usize, usize, usize, usize, usize),
+    stride: usize,
+    pad: usize,
+    batch: usize,
+    poison_rate: f32,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let geo = geometry((c, dh, dw, k), stride, pad);
+    let mut rng = SeededRng::new(seed);
+    let mut x = rng.normal_tensor(&[batch, c, geo.in_h, geo.in_w], 0.0, 1.0);
+    let w = rng.normal_tensor(&[oc, geo.patch_len()], 0.0, 1.0);
+    let mut dy = rng.normal_tensor(&[batch, oc, geo.out_h(), geo.out_w()], 0.0, 1.0);
+    poison(&mut x, &mut rng, poison_rate);
+    poison(&mut dy, &mut rng, poison_rate);
+
+    let mut got_dw = Tensor::full(&[oc, geo.patch_len()], f32::NAN);
+    let mut got_db = Tensor::full(&[oc], f32::NAN);
+    let mut got_dx = Tensor::full(x.dims(), f32::NAN);
+    conv2d_backward(
+        &x,
+        &geo,
+        w.data(),
+        &dy,
+        got_dw.data_mut(),
+        got_db.data_mut(),
+        got_dx.data_mut(),
+    );
+    let (want_dw, want_db, want_dx) = backward_reference(&x, &geo, &w, &dy);
+    assert_bit_identical(&got_dw, &want_dw)?;
+    assert_bit_identical(&got_db, &want_db)?;
+    assert_bit_identical(&got_dx, &want_dx)
 }
 
 proptest! {
@@ -108,5 +170,28 @@ proptest! {
         relu in 0usize..2, seed in 0u64..1000
     ) {
         check_case((c, dh, dw, oc, k), stride, pad, 1, relu == 1, 0.15, seed)?;
+    }
+
+    /// Backward on finite data: batch 0, 1 and several images, strides
+    /// 1–3, padding 0–2, kernels 1–5, and output channels / patch lengths
+    /// that straddle the 8-wide tile.
+    #[test]
+    fn backward_bit_identical_to_lowering_chain(
+        c in 1usize..5, dh in 0usize..12, dw in 0usize..12, oc in 1usize..21,
+        k in 1usize..6, stride in 1usize..4, pad in 0usize..3, batch in 0usize..5,
+        seed in 0u64..1000
+    ) {
+        check_backward_case((c, dh, dw, oc, k), stride, pad, batch, 0.0, seed)?;
+    }
+
+    /// Backward with NaN, ±inf and −0.0 in the input and the output
+    /// gradient: they reach dW, db and dX exactly as through the chain.
+    #[test]
+    fn backward_non_finite_inputs_propagate_bit_identically(
+        c in 1usize..4, dh in 0usize..8, dw in 0usize..8, oc in 1usize..19,
+        k in 1usize..5, stride in 1usize..3, pad in 0usize..3, batch in 0usize..4,
+        seed in 0u64..1000
+    ) {
+        check_backward_case((c, dh, dw, oc, k), stride, pad, batch, 0.03, seed)?;
     }
 }
