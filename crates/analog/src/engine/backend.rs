@@ -107,20 +107,6 @@ impl Backend for AnalogBackend {
     }
 }
 
-/// A [`DeploymentMode`] is itself a backend: deployment under that
-/// variation mode on all analog layers (equivalent to
-/// `AnalogBackend::new(mode)`), so mode literals can be passed straight
-/// to `monte_carlo` / `CompiledModel::compile`.
-impl Backend for DeploymentMode {
-    fn name(&self) -> String {
-        format!("analog({self:?})")
-    }
-
-    fn mask_plan(&self, model: &Sequential, rng: &mut SeededRng) -> MaskPlan {
-        DeploymentMode::mask_plan(self, model, 0, rng)
-    }
-}
-
 /// Conductance-level deployment through tiled physical crossbars: every
 /// analog layer is programmed onto `tile_size`² differential-pair arrays
 /// (programming variation, quantization, read parameters from the cell

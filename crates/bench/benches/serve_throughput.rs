@@ -1,12 +1,12 @@
-//! Load-generator benchmark of the dynamic-batching serving layer: a
-//! round-robin fleet of two analog MLP-head deployments, driven by eight
-//! client threads. One iteration = 512 served requests, so the reported
-//! ns/iter divided by 512 is the steady-state per-request service time;
+//! Load-generator benchmark of the dynamic-batching serving layer: two
+//! analog MLP-head shards fed round-robin by eight client threads. One
+//! iteration = 512 served requests, so the reported ns/iter divided by
+//! 512 is the steady-state per-request service time;
 //! `max_batch = 1` is the no-batching baseline the coalescing
 //! configurations are measured against.
 
 use cn_analog::engine::AnalogBackend;
-use cn_serve::{Fleet, RoutePolicy, ServeConfig, ServeError, Ticket};
+use cn_serve::{RouterConfig, ServeConfig, ServeError, ShardRouter, Ticket};
 use cn_tensor::{SeededRng, Tensor};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::VecDeque;
@@ -21,9 +21,13 @@ const REQUESTS_PER_ITER: usize = 512;
 
 /// Pipelined load generator: each client keeps up to [`WINDOW`] tickets
 /// in flight so the batchers have requests to coalesce; `QueueFull` is
-/// backpressure (drain one reply, retry).
-fn drive(fleet: &Fleet, samples: &[Tensor]) -> usize {
+/// backpressure (drain one reply, retry). Submissions rotate over the
+/// shards' servers rather than going through `ShardRouter::route`: this
+/// measures the batcher, and pick-two over two shards herds pipelined
+/// clients, whose unread replies count as load, onto one shard at a time.
+fn drive(router: &ShardRouter, samples: &[Tensor]) -> usize {
     let next = AtomicUsize::new(0);
+    let rotation = AtomicUsize::new(0);
     let served = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..CLIENTS {
@@ -44,7 +48,8 @@ fn drive(fleet: &Fleet, samples: &[Tensor]) -> usize {
                             break;
                         }
                         let ticket = loop {
-                            match fleet.submit_next(&samples[i % samples.len()]) {
+                            let shard = rotation.fetch_add(1, Ordering::Relaxed) % router.shards();
+                            match router.shard(shard).submit(&samples[i % samples.len()]) {
                                 Ok(ticket) => break ticket,
                                 Err(ServeError::QueueFull) => {
                                     drain(&mut inflight);
@@ -91,19 +96,18 @@ fn bench_serve_throughput(c: &mut Criterion) {
             .max_wait(Duration::from_millis(2))
             .workers(2)
             .queue_capacity(64 * max_batch);
-        let fleet = Fleet::new(
+        let router = ShardRouter::new(
             &model,
             AnalogBackend::lognormal(0.3),
             2,
             7,
-            RoutePolicy::RoundRobin,
             &[1, 28, 28],
-            &config,
+            &RouterConfig::new(config),
         );
         group.bench_function(BenchmarkId::new("max_batch", max_batch), |b| {
-            b.iter(|| black_box(drive(&fleet, &samples)));
+            b.iter(|| black_box(drive(&router, &samples)));
         });
-        fleet.shutdown();
+        router.shutdown();
     }
     group.finish();
 }

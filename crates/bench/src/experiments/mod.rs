@@ -2,8 +2,7 @@
 //!
 //! Every table/figure regenerator implements [`Experiment`] and is listed
 //! in [`registry`]. The `cn-experiments` binary resolves names against the
-//! registry; the legacy per-figure binaries are thin shims over the same
-//! entries.
+//! registry.
 //!
 //! ```
 //! let names = cn_bench::experiments::names();

@@ -3,7 +3,7 @@
 //! the dynamic-batching servers — measured with the cn-net load
 //! generator over loopback.
 //!
-//! Where the `serving` experiment drives the in-process `Fleet` API,
+//! Where the `serving` experiment drives the in-process router API,
 //! this one pays the whole wire cost (frame codec, kernel TCP, handler
 //! pool, admission queue) and answers two deployment questions the
 //! in-process numbers cannot: (1) how throughput scales with shard

@@ -1,13 +1,13 @@
-//! **Serving**: the traffic-shaped workload — a [`cn_serve::Fleet`] of
-//! independent analog deployments behind a dynamic-batching front,
+//! **Serving**: the traffic-shaped workload — a [`cn_serve::ShardRouter`]
+//! over independent analog deployments behind a dynamic-batching front,
 //! measured under a multi-client load generator.
 //!
 //! This experiment goes beyond the paper's offline accuracy protocol: it
 //! demonstrates that (1) dynamic micro-batching buys real throughput over
-//! per-request inference on the same fleet, (2) redundant majority-vote
-//! routing masks per-chip variation at a measurable disagreement rate,
-//! and (3) conductance drift degrades instance agreement until the fleet
-//! is re-programmed — the distributed error-corrected deployment story of
+//! per-request inference on the same shards, (2) redundant majority voting
+//! masks per-chip variation at a measurable disagreement rate, and (3)
+//! conductance drift degrades shard agreement until the shards are
+//! re-programmed — the distributed error-corrected deployment story of
 //! the related RRAM scale-out work.
 
 use super::{Ctx, Experiment};
@@ -20,7 +20,9 @@ use cn_nn::layers::{Dense, Flatten, Relu};
 use cn_nn::optim::Adam;
 use cn_nn::trainer::{TrainConfig, Trainer};
 use cn_nn::Sequential;
-use cn_serve::{Fleet, RoutePolicy, ServeConfig, ServeError, ServerStats, Ticket};
+use cn_serve::{
+    RouterConfig, RouterError, ServeConfig, ServeError, ServerStats, ShardRouter, Ticket,
+};
 use cn_tensor::Tensor;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -36,7 +38,7 @@ const CLIENTS: usize = 16;
 /// batchers coalesce from).
 const WINDOW: usize = 64;
 const MAX_WAIT: Duration = Duration::from_millis(2);
-/// Field age (in drift-reference units) of the aged majority fleet.
+/// Field age (in drift-reference units) of the aged majority-vote shards.
 const DRIFT_T: f32 = 1.0e5;
 
 /// Outcome of one load-generator run.
@@ -48,11 +50,15 @@ struct LoadResult {
 }
 
 /// Pipelined round-robin load generator: [`CLIENTS`] threads each keep up
-/// to [`WINDOW`] tickets in flight via [`Fleet::submit_next`], so the
-/// instance batchers always have requests to coalesce. `QueueFull` is
-/// backpressure: the client drains one in-flight reply and retries.
-fn drive_pipelined(fleet: &Fleet, samples: &[(Tensor, usize)], total: usize) -> LoadResult {
+/// to [`WINDOW`] tickets in flight, submitted to the shards' servers in
+/// rotation, so the shard batchers always have requests to coalesce.
+/// `QueueFull` is backpressure: the client drains one in-flight reply and
+/// retries. Rotation rather than [`ShardRouter::route`] keeps this a
+/// measurement of the batcher: pick-two herds pipelined clients, whose
+/// unread replies count as load, onto the momentarily lighter shard.
+fn drive_pipelined(router: &ShardRouter, samples: &[(Tensor, usize)], total: usize) -> LoadResult {
     let next = AtomicUsize::new(0);
+    let rotation = AtomicUsize::new(0);
     let hits = AtomicUsize::new(0);
     let started = Instant::now();
     std::thread::scope(|scope| {
@@ -77,7 +83,8 @@ fn drive_pipelined(fleet: &Fleet, samples: &[(Tensor, usize)], total: usize) -> 
                         }
                         let (sample, label) = &samples[i % samples.len()];
                         let ticket = loop {
-                            match fleet.submit_next(sample) {
+                            let shard = rotation.fetch_add(1, Ordering::Relaxed) % router.shards();
+                            match router.shard(shard).submit(sample) {
                                 Ok(ticket) => break ticket,
                                 Err(ServeError::QueueFull) => {
                                     drain(&mut inflight);
@@ -98,14 +105,14 @@ fn drive_pipelined(fleet: &Fleet, samples: &[(Tensor, usize)], total: usize) -> 
         throughput_rps: total as f64 / elapsed,
         hits: hits.load(Ordering::Relaxed),
         total,
-        stats: fleet.stats(),
+        stats: router.stats().shards,
     }
 }
 
 /// Synchronous (closed-loop) load generator: [`CLIENTS`] threads issue
-/// one [`Fleet::classify`] at a time — the latency-shaped workload the
+/// one [`ShardRouter::vote`] at a time — the latency-shaped workload the
 /// majority-vote runs use.
-fn drive(fleet: &Fleet, samples: &[(Tensor, usize)], total: usize) -> LoadResult {
+fn drive(router: &ShardRouter, samples: &[(Tensor, usize)], total: usize) -> LoadResult {
     let next = AtomicUsize::new(0);
     let hits = AtomicUsize::new(0);
     let started = Instant::now();
@@ -118,9 +125,9 @@ fn drive(fleet: &Fleet, samples: &[(Tensor, usize)], total: usize) -> LoadResult
                 }
                 let (sample, label) = &samples[i % samples.len()];
                 let reply = loop {
-                    match fleet.classify(sample) {
+                    match router.vote(sample) {
                         Ok(reply) => break reply,
-                        Err(ServeError::QueueFull) => std::thread::yield_now(),
+                        Err(RouterError::Overloaded) => std::thread::yield_now(),
                         Err(e) => panic!("load generator hit a serving error: {e}"),
                     }
                 };
@@ -135,7 +142,7 @@ fn drive(fleet: &Fleet, samples: &[(Tensor, usize)], total: usize) -> LoadResult
         throughput_rps: total as f64 / elapsed,
         hits: hits.load(Ordering::Relaxed),
         total,
-        stats: fleet.stats(),
+        stats: router.stats().shards,
     }
 }
 
@@ -162,7 +169,7 @@ fn throughput_model(data: &TrainTest, seed: u64) -> Sequential {
     model
 }
 
-/// Requests-weighted aggregate of per-instance stats:
+/// Requests-weighted aggregate of per-shard stats:
 /// (p50 ms, p95 ms, p99 ms, batch fill).
 fn aggregate(stats: &[ServerStats]) -> (f64, f64, f64, f64) {
     let total: f64 = stats.iter().map(|s| s.requests as f64).sum();
@@ -186,11 +193,11 @@ impl Experiment for Serving {
     }
 
     fn title(&self) -> &'static str {
-        "Serving: dynamic-batching fleet under a multi-client load generator"
+        "Serving: dynamic-batching shard router under a multi-client load generator"
     }
 
     fn description(&self) -> &'static str {
-        "micro-batching throughput, latency percentiles and majority-vote health of an analog fleet"
+        "micro-batching throughput, latency percentiles and majority-vote health of analog shards"
     }
 
     fn run(&self, ctx: &Ctx) -> ExperimentReport {
@@ -213,7 +220,7 @@ impl Experiment for Serving {
             .collect();
         let backend = AnalogBackend::lognormal(SIGMA);
 
-        // Throughput: round-robin fleet serving the edge-sized MLP head,
+        // Throughput: round-robin shards serving the edge-sized MLP head,
         // per-request vs micro-batched.
         eprintln!("[serving] training the throughput workload head …");
         let mlp_head = throughput_model(&data, ctx.seed);
@@ -222,29 +229,30 @@ impl Experiment for Serving {
         let mut throughputs = Vec::new();
         for max_batch in [1usize, 32] {
             eprintln!("[serving] round-robin load run, max_batch = {max_batch} …");
-            let config = ServeConfig::new(max_batch)
-                .max_wait(MAX_WAIT)
-                .workers(2)
-                .queue_capacity(64 * max_batch);
-            let rr_fleet = || {
-                Fleet::new(
+            let config = RouterConfig::new(
+                ServeConfig::new(max_batch)
+                    .max_wait(MAX_WAIT)
+                    .workers(2)
+                    .queue_capacity(64 * max_batch),
+            );
+            let rr_shards = || {
+                ShardRouter::new(
                     &mlp_head,
                     backend.clone(),
                     REPLICAS,
                     ctx.seed ^ 0x5e17e,
-                    RoutePolicy::RoundRobin,
                     &sample_dims,
                     &config,
                 )
             };
-            // Warm up on a throwaway fleet, then measure on a fresh one so
+            // Warm up on a throwaway router, then measure on a fresh one so
             // the reported stats exclude cold-start latencies.
-            let warmup = rr_fleet();
+            let warmup = rr_shards();
             drive_pipelined(&warmup, &samples, requests / 8);
             warmup.shutdown();
-            let fleet = rr_fleet();
-            let result = drive_pipelined(&fleet, &samples, requests);
-            fleet.shutdown();
+            let router = rr_shards();
+            let result = drive_pipelined(&router, &samples, requests);
+            router.shutdown();
             let (p50, p95, p99, fill) = aggregate(&result.stats);
             report.metric(
                 &format!("throughput_rps_b{max_batch}"),
@@ -279,7 +287,7 @@ impl Experiment for Serving {
             throughputs[1] / throughputs[0].max(1e-9),
         );
         report.table(
-            "round-robin fleet under load",
+            "round-robin shards under load",
             &[
                 "max_batch",
                 "req/s",
@@ -292,39 +300,38 @@ impl Experiment for Serving {
             table_rows,
         );
 
-        // Redundancy: majority-vote fleets with *matched* variation draws.
-        // Both fleets re-deploy to generation 1 with identical RNG
+        // Redundancy: majority-vote shard sets with *matched* variation
+        // draws. Both re-deploy to generation 1 with identical RNG
         // streams — the control via `reprogram` (log-normal masks only),
         // the aged one via `recompile_drifted` (the same log-normal masks
         // composed with per-device drift at t = 1e5) — so the drift
         // contribution to vote disagreement is isolated, not confounded
         // with a fresh variation draw.
         let majority_requests = requests / 8;
-        let config = ServeConfig::new(32).max_wait(MAX_WAIT).workers(2);
-        let majority_fleet = || {
-            Fleet::new(
+        let config = RouterConfig::new(ServeConfig::new(32).max_wait(MAX_WAIT).workers(2));
+        let voting = || {
+            ShardRouter::new(
                 &model,
                 backend.clone(),
                 REPLICAS,
                 ctx.seed ^ 0xf1ee7,
-                RoutePolicy::Majority,
                 &sample_dims,
                 &config,
             )
         };
         eprintln!("[serving] majority-vote run ({majority_requests} requests) …");
-        let fleet = majority_fleet();
-        fleet.reprogram();
-        let fresh = drive(&fleet, &samples, majority_requests);
-        let fresh_rate = fleet.vote_disagreement_rate();
-        fleet.shutdown();
+        let router = voting();
+        router.reprogram();
+        let fresh = drive(&router, &samples, majority_requests);
+        let fresh_rate = router.vote_disagreement_rate();
+        router.shutdown();
 
         eprintln!("[serving] drifted majority-vote run …");
-        let drifted_fleet = majority_fleet();
-        drifted_fleet.recompile_drifted(&ConductanceDrift::new(0.05, 0.05, 1.0), DRIFT_T);
-        let drifted = drive(&drifted_fleet, &samples, majority_requests);
-        let drifted_rate = drifted_fleet.vote_disagreement_rate();
-        drifted_fleet.shutdown();
+        let drifted_router = voting();
+        drifted_router.recompile_drifted(&ConductanceDrift::new(0.05, 0.05, 1.0), DRIFT_T);
+        let drifted = drive(&drifted_router, &samples, majority_requests);
+        let drifted_rate = drifted_router.vote_disagreement_rate();
+        drifted_router.shutdown();
 
         report.metric("vote_disagreement", fresh_rate);
         report.metric("vote_disagreement_drifted", drifted_rate);
@@ -334,7 +341,7 @@ impl Experiment for Serving {
             drifted.hits as f64 / drifted.total as f64,
         );
         report.table(
-            "majority-vote fleet health",
+            "majority-vote shard health",
             &["deployments", "disagreement", "accuracy"],
             vec![
                 vec![
@@ -351,13 +358,13 @@ impl Experiment for Serving {
         );
 
         report.note("Reproduction checks: (1) micro-batching (max_batch = 32) outperforms");
-        report.note("per-request serving (max_batch = 1) on the same fleet by amortizing");
+        report.note("per-request serving (max_batch = 1) on the same shards by amortizing");
         report.note("per-request overhead (queue wakeups, locks, reply scatter) across the");
-        report.note("batch; (2) redundant majority routing reports a per-chip");
+        report.note("batch; (2) redundant majority voting reports a per-chip");
         report.note("vote-disagreement rate that grows once conductance drift ages the");
         report.note("deployments (matched variation draws, drift isolated).");
         report.note("Throughput rows serve the small MLP head; the majority/drift health");
-        report.note("rows serve the trained LeNet fleet.");
+        report.note("rows serve the trained LeNet shards.");
         if throughputs[1] <= throughputs[0] {
             report.note(format!(
                 "WARNING: batching speedup not observed ({:.0} vs {:.0} req/s)",

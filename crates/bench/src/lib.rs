@@ -31,9 +31,6 @@
 //! cargo bench -p cn-bench                          # substrate benches
 //! ```
 //!
-//! The legacy one-binary-per-figure entry points (`table1`, `fig2`, …)
-//! still exist as deprecated shims over the registry.
-//!
 //! Every experiment prints a paper-vs-measured table; absolute numbers
 //! differ (synthetic datasets, width-scaled VGG16 — see the fidelity
 //! deviations in `docs/ARCHITECTURE.md`), the *shape* of each result is

@@ -339,8 +339,7 @@ impl ExperimentReport {
         })
     }
 
-    /// Renders the human-readable text output (title, tables, notes) —
-    /// the same tables the legacy per-figure binaries printed.
+    /// Renders the human-readable text output (title, tables, notes).
     pub fn render_text(&self) -> String {
         let mut out = format!("== {} ==\n", self.title);
         out.push_str(&format!(

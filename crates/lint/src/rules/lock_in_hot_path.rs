@@ -4,7 +4,7 @@
 //! with lock-free per-worker buffers: a lock acquired once per sample (or
 //! per matrix row) serializes exactly the code the workspace exists to
 //! parallelize. In the kernel tree (`tensor::ops`), the inference engine
-//! (`analog::engine`) and the serving data plane (`serve::{server,fleet}`)
+//! (`analog::engine`) and the serving data plane (`serve::{server,router}`)
 //! a blocking lock is presumed hot until justified — a provably cold lock
 //! (acquired once per deployment swap, not per batch) is suppressed with
 //! that argument.
@@ -19,7 +19,7 @@ const HOT_PATHS: &[&str] = &[
     "crates/tensor/src/ops/",
     "crates/analog/src/engine/",
     "crates/serve/src/server.rs",
-    "crates/serve/src/fleet.rs",
+    "crates/serve/src/router.rs",
 ];
 
 /// Lock types that block.

@@ -20,8 +20,8 @@
 //! `error` string. Unknown commands are answered, never dropped — the
 //! control path must stay debuggable from a misbehaving client.
 
-use crate::router::{RouterStats, ShardRouter};
 use cn_analog::drift::ConductanceDrift;
+use cn_serve::{RouterStats, ShardRouter};
 use correctnet::export::json::Json;
 
 /// A side effect the connection handler must apply after replying.
@@ -151,10 +151,9 @@ pub fn stats_reply(stats: &RouterStats) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::RouterConfig;
     use cn_analog::engine::DigitalBackend;
     use cn_nn::zoo::mlp;
-    use cn_serve::ServeConfig;
+    use cn_serve::{RouterConfig, ServeConfig};
     use cn_tensor::Tensor;
     use std::time::Duration;
 

@@ -32,8 +32,9 @@ use crate::frame::{
     encode_infer_reply_into, write_frame, ErrorCode, Frame, FrameReader, Payload, PollFrame,
     ReadFrameError, DEFAULT_MAX_PAYLOAD,
 };
-use crate::router::{RouterError, RouterTicket, ShardRouter};
-use cn_serve::{AdmissionQueue, PushError, Reply, ServeError};
+use cn_serve::{
+    AdmissionQueue, PushError, Reply, RouterError, RouterTicket, ServeError, ShardRouter,
+};
 use cn_tensor::Tensor;
 use std::collections::VecDeque;
 use std::io;

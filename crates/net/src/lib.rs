@@ -1,17 +1,17 @@
 //! cn-net: the network layer for multi-shard CorrectNet serving.
 //!
-//! Everything here is dependency-free over `std::net`, in four layers:
+//! Everything here is dependency-free over `std::net`. The shard set
+//! itself — [`ShardRouter`]: pick-two routing and majority voting across
+//! independent [`Server`](cn_serve::Server) shards, load shedding,
+//! graceful drain and hot model swap — lives in cn-serve and is
+//! re-exported here; this crate adds only the wire concerns, in three
+//! layers:
 //!
 //! - [`frame`] — the length-prefixed binary wire codec: a 16-byte
 //!   versioned header (magic, version, kind, request id, payload
 //!   length), f32 inference batches or JSON control text as payloads,
 //!   strict decoding with named errors, and a hard payload cap enforced
 //!   *before* any allocation — peer-supplied lengths are never trusted.
-//! - [`router`] — [`ShardRouter`]: pick-two-least-loaded routing across
-//!   independent [`Server`](cn_serve::Server) shards, per-shard load
-//!   shedding, graceful drain, and hot model swap under traffic. Shards
-//!   are addressed only through their admission queues, so they could
-//!   move to separate processes without changing the routing contract.
 //! - [`frontend`] — the TCP [`Frontend`]: one non-blocking acceptor, a
 //!   bounded connection-handler pool fed through an
 //!   [`AdmissionQueue`](cn_serve::AdmissionQueue), per-connection
@@ -32,8 +32,10 @@ pub mod control;
 pub mod frame;
 pub mod frontend;
 pub mod loadgen;
-pub mod router;
 
+pub use cn_serve::{
+    RouterConfig, RouterError, RouterState, RouterStats, RouterTicket, ShardRouter,
+};
 pub use control::{handle_control, stats_reply, ControlAction};
 pub use frame::{
     ErrorCode, Frame, FrameError, FrameReader, Payload, PollFrame, ReadFrameError,
@@ -41,4 +43,3 @@ pub use frame::{
 };
 pub use frontend::{Frontend, FrontendConfig};
 pub use loadgen::{request_rows, LoadgenConfig, LoadgenReport, Mode};
-pub use router::{RouterConfig, RouterError, RouterState, RouterStats, RouterTicket, ShardRouter};

@@ -5,14 +5,13 @@ use crate::policy::PolicyRnn;
 use crate::reward::RewardSpec;
 use cn_nn::optim::{Adam, Optimizer};
 use cn_tensor::SeededRng;
-use serde::{Deserialize, Serialize};
 
 /// Discrete action set used by the policy: compensation ratios including
 /// "none" (the paper's `S ≤ 0`).
 pub const DEFAULT_ACTIONS: [f32; 4] = [0.0, 0.25, 0.5, 1.0];
 
 /// Search configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SearchConfig {
     /// Training episodes (policy updates).
     pub episodes: usize,
@@ -46,7 +45,7 @@ impl SearchConfig {
 }
 
 /// One explored placement (for Fig. 10-style scatter plots).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExploredPoint {
     /// Ratio per candidate slot.
     pub ratios: Vec<f32>,
@@ -57,7 +56,7 @@ pub struct ExploredPoint {
 }
 
 /// Search result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SearchResult {
     /// Best placement found (by reward).
     pub best_ratios: Vec<f32>,

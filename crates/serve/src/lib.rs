@@ -16,17 +16,21 @@
 //!    per worker thread, bound to a hot-swappable
 //!    [`CompiledModel`](cn_analog::engine::CompiledModel); per-row
 //!    replies are scattered back through per-request channels.
-//! 4. [`Fleet`] — `replicas` independent analog deployments of the same
-//!    model behind round-robin (capacity) or majority-vote (redundancy)
-//!    routing, with drift-aware recompilation
-//!    ([`Fleet::recompile_drifted`] / [`Fleet::reprogram`]) and
-//!    per-instance health stats ([`ServerStats`]: latency percentiles,
-//!    throughput, batch fill; plus the fleet's vote-disagreement rate).
+//! 4. [`ShardRouter`] — K independent analog deployments of the same
+//!    model, one [`Server`] each, behind one admission point. Callers
+//!    [`route`](ShardRouter::route) a request to one shard
+//!    (pick-two-least-loaded, for capacity) or [`vote`](ShardRouter::vote)
+//!    it across every shard (majority, for redundancy against per-chip
+//!    variation). The router sheds load, drains gracefully, hot-swaps
+//!    drift-aged or re-programmed deployments
+//!    ([`ShardRouter::recompile_drifted`] / [`ShardRouter::reprogram`])
+//!    and reports per-shard health ([`ServerStats`]: latency percentiles,
+//!    throughput, batch fill; plus the vote-disagreement rate).
 //!
 //! ```
 //! use cn_analog::engine::{AnalogBackend, EngineBuilder};
 //! use cn_nn::zoo::mlp;
-//! use cn_serve::{Fleet, RoutePolicy, ServeConfig, Server};
+//! use cn_serve::{RouterConfig, ServeConfig, Server, ShardRouter};
 //! use cn_tensor::SeededRng;
 //!
 //! let model = mlp(&[4, 16, 3], 1);
@@ -41,30 +45,31 @@
 //! let reply = server.classify(&x).unwrap();
 //! assert!(reply.class < 3);
 //!
-//! // A fleet: three independent σ=0.4 chips, majority-vote routing.
-//! let fleet = Fleet::new(
+//! // A shard set: three independent σ=0.4 chips, majority-voted.
+//! let router = ShardRouter::new(
 //!     &model,
 //!     AnalogBackend::lognormal(0.4),
 //!     3,
 //!     42,
-//!     RoutePolicy::Majority,
 //!     &[4],
-//!     &ServeConfig::new(8),
+//!     &RouterConfig::new(ServeConfig::new(8)),
 //! );
-//! let voted = fleet.classify(&x).unwrap();
+//! let voted = router.vote(&x).unwrap();
 //! assert_eq!(voted.votes.len(), 3);
 //! ```
 
 #![warn(missing_docs)]
 
 mod config;
-mod fleet;
 mod queue;
+mod router;
 mod server;
 mod stats;
 
 pub use config::ServeConfig;
-pub use fleet::{Fleet, FleetReply, RoutePolicy};
 pub use queue::{AdmissionQueue, PushError};
+pub use router::{
+    RouterConfig, RouterError, RouterState, RouterStats, RouterTicket, ShardRouter, Vote,
+};
 pub use server::{Reply, ServeError, Server, Ticket};
 pub use stats::{HistogramSnapshot, LatencyHistogram, ServerStats};

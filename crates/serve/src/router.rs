@@ -1,16 +1,25 @@
-//! The shard router: many independent serving shards behind one
+//! The shard router: K independent deployments of one model behind one
 //! admission point.
 //!
-//! Each shard is a [`cn_serve::Server`] over its own independently-drawn
-//! compiled deployment — the same "every programmed chip is a different
-//! draw" story as [`cn_serve::Fleet`], but routed for *scale* rather than
-//! redundancy: requests go to one shard chosen by
-//! **pick-two-least-loaded** (two candidate shards are compared by their
-//! live load and the lighter one wins — the classic power-of-two-choices
-//! balancer, which avoids both the herding of global-least-loaded and
-//! the variance of blind round-robin).
+//! Analog chips are individually noisy — every programmed crossbar is a
+//! different draw from the variation model. Each shard is a [`Server`]
+//! over its own independently-drawn compiled deployment, and callers pick
+//! how a request maps onto the shard set:
 //!
-//! The router owns three serving-time behaviors the frontend builds on:
+//! - [`route`](ShardRouter::route) sends it to *one* shard for scale,
+//!   chosen by **pick-two-least-loaded** (two candidate shards are
+//!   compared by their live load and the lighter one wins — the classic
+//!   power-of-two-choices balancer, which avoids both the herding of
+//!   global-least-loaded and the variance of blind round-robin). The
+//!   first candidate rotates and wins ties, so a caller that waits for
+//!   each reply sees strict round-robin.
+//! - [`vote`](ShardRouter::vote) sends it to *every* shard and returns
+//!   the majority class — redundancy against per-chip variation at K×
+//!   the compute, with a running vote-disagreement rate as a health
+//!   signal.
+//!
+//! The router owns three serving-time behaviors the network frontend
+//! builds on:
 //!
 //! - **Load shedding**: a shard whose in-flight count reaches the
 //!   configured bound rejects the request with [`RouterError::Overloaded`]
@@ -25,17 +34,20 @@
 //!   [`recompile_drifted`](ShardRouter::recompile_drifted) rebuild every
 //!   shard's deployment through the engine's `recompile` + `install`
 //!   hooks under live traffic, bumping a generation counter the control
-//!   plane reports.
+//!   plane reports. Drift recompilation models field aging; re-programming
+//!   on the base backend resets it.
 //!
 //! Shards are addressed only through [`Server`] handles and per-shard
 //! atomic counters — nothing in the routing layer assumes shared memory
-//! beyond those, so a later PR can put shards behind their own processes
-//! by swapping the handle type.
+//! beyond those, so shards could move behind their own processes by
+//! swapping the handle type.
 
+use crate::config::ServeConfig;
+use crate::server::{Reply, ServeError, Server, Ticket};
+use crate::stats::ServerStats;
 use cn_analog::drift::ConductanceDrift;
 use cn_analog::engine::{Backend, CompiledModel, DriftBackend};
 use cn_nn::Sequential;
-use cn_serve::{Reply, ServeConfig, ServeError, Server, ServerStats, Ticket};
 use cn_tensor::{SeededRng, Tensor};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -43,8 +55,8 @@ use std::sync::Arc;
 /// Routing-layer failures (the wire maps these onto error frames).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RouterError {
-    /// Both candidate shards are at their in-flight bound, or the chosen
-    /// shard's queue is full — back off and retry.
+    /// The chosen shard (for a vote, any shard) is at its in-flight bound,
+    /// or a shard's queue is full — back off and retry.
     Overloaded,
     /// The router is draining (or closed) and admits nothing new.
     Draining,
@@ -128,8 +140,8 @@ struct Shard {
 }
 
 impl Shard {
-    /// Live load: requests submitted to this shard and not yet answered
-    /// (queued + executing).
+    /// Live load: requests submitted to this shard whose replies have not
+    /// been consumed (queued, executing, or answered but unread).
     fn load(&self) -> usize {
         self.inflight.load(Ordering::Relaxed)
     }
@@ -174,7 +186,19 @@ impl RouterTicket {
     }
 }
 
-/// Many independent serving shards behind pick-two-least-loaded routing.
+/// The majority decision of a [`ShardRouter::vote`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Vote {
+    /// The majority-voted class.
+    pub class: usize,
+    /// Per-shard votes that produced the decision, in shard order.
+    pub votes: Vec<usize>,
+    /// Whether every shard agreed.
+    pub unanimous: bool,
+}
+
+/// K independent deployments of one model behind pick-two routing and
+/// majority voting.
 pub struct ShardRouter {
     shards: Vec<Shard>,
     sample_dims: Vec<usize>,
@@ -183,6 +207,8 @@ pub struct ShardRouter {
     route_seq: AtomicU64,
     routed: AtomicU64,
     shed: AtomicU64,
+    voted: AtomicU64,
+    disagreed: AtomicU64,
     generation: AtomicU64,
     backend: Box<dyn Backend>,
     seed: u64,
@@ -205,16 +231,36 @@ impl ShardRouter {
         sample_dims: &[usize],
         config: &RouterConfig,
     ) -> ShardRouter {
-        assert!(shards > 0, "a router needs at least one shard");
         let nominal = Arc::new(model.clone());
-        let shards = (0..shards)
+        let compiled = (0..shards)
             .map(|i| {
                 let mut rng = SeededRng::new(seed).fork(i as u64);
-                let compiled = CompiledModel::compile_shared(&nominal, &backend, &mut rng);
-                Shard {
-                    server: Server::new(compiled.shared(), sample_dims, &config.serve),
-                    inflight: Arc::new(AtomicUsize::new(0)),
-                }
+                CompiledModel::compile_shared(&nominal, &backend, &mut rng).shared()
+            })
+            .collect();
+        ShardRouter::from_compiled(compiled, Box::new(backend), seed, sample_dims, config)
+    }
+
+    /// Builds a router over pre-compiled deployments, one shard each (e.g.
+    /// rigged deployments in tests). `backend` and `seed` drive later
+    /// recompilations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` or `sample_dims` is empty.
+    pub fn from_compiled(
+        shards: Vec<Arc<CompiledModel>>,
+        backend: Box<dyn Backend>,
+        seed: u64,
+        sample_dims: &[usize],
+        config: &RouterConfig,
+    ) -> ShardRouter {
+        assert!(!shards.is_empty(), "a router needs at least one shard");
+        let shards = shards
+            .into_iter()
+            .map(|compiled| Shard {
+                server: Server::new(compiled, sample_dims, &config.serve),
+                inflight: Arc::new(AtomicUsize::new(0)),
             })
             .collect();
         ShardRouter {
@@ -224,8 +270,10 @@ impl ShardRouter {
             route_seq: AtomicU64::new(0),
             routed: AtomicU64::new(0),
             shed: AtomicU64::new(0),
+            voted: AtomicU64::new(0),
+            disagreed: AtomicU64::new(0),
             generation: AtomicU64::new(0),
-            backend: Box::new(backend),
+            backend,
             seed,
             shed_inflight: config.shed_inflight,
         }
@@ -258,9 +306,7 @@ impl ShardRouter {
     /// [`RouterError::Overloaded`] when the chosen shard is at the shed
     /// bound or its queue is full, [`RouterError::Serve`] otherwise.
     pub fn route(&self, input: &Tensor) -> Result<RouterTicket, RouterError> {
-        if self.state.load(Ordering::Acquire) != STATE_ACCEPTING {
-            return Err(RouterError::Draining);
-        }
+        self.admitting()?;
         let (a, b) = self.candidates();
         let i = if self.shards[a].load() <= self.shards[b].load() {
             a
@@ -272,6 +318,58 @@ impl ShardRouter {
             self.shed.fetch_add(1, Ordering::Relaxed);
             return Err(RouterError::Overloaded);
         }
+        self.submit(shard, input)
+    }
+
+    /// Classifies one sample on every shard and returns the majority
+    /// class (ties go to the smallest class).
+    ///
+    /// # Errors
+    ///
+    /// As for [`route`](ShardRouter::route), except that
+    /// [`RouterError::Overloaded`] is returned — with nothing submitted —
+    /// when *any* shard is at the shed bound.
+    pub fn vote(&self, input: &Tensor) -> Result<Vote, RouterError> {
+        self.admitting()?;
+        if self.shards.iter().any(|s| s.load() >= self.shed_inflight) {
+            self.shed.fetch_add(1, Ordering::Relaxed);
+            return Err(RouterError::Overloaded);
+        }
+        // Submit to every shard first so their batchers coalesce
+        // concurrently, then gather.
+        let tickets: Vec<RouterTicket> = self
+            .shards
+            .iter()
+            .map(|shard| self.submit(shard, input))
+            .collect::<Result<_, _>>()?;
+        let votes: Vec<usize> = tickets
+            .into_iter()
+            .map(|t| t.wait().map(|r| r.class))
+            .collect::<Result<_, _>>()
+            .map_err(RouterError::Serve)?;
+        let class = majority(&votes);
+        let unanimous = votes.iter().all(|&v| v == votes[0]);
+        self.voted.fetch_add(1, Ordering::Relaxed);
+        if !unanimous {
+            self.disagreed.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(Vote {
+            class,
+            votes,
+            unanimous,
+        })
+    }
+
+    fn admitting(&self) -> Result<(), RouterError> {
+        match self.state() {
+            RouterState::Accepting => Ok(()),
+            RouterState::Draining => Err(RouterError::Draining),
+        }
+    }
+
+    /// Submits to one shard, holding its in-flight count until the
+    /// returned ticket is consumed or dropped.
+    fn submit(&self, shard: &Shard, input: &Tensor) -> Result<RouterTicket, RouterError> {
         // Count the request before submitting so a concurrent router sees
         // the load it is about to add; undo on rejection.
         shard.inflight.fetch_add(1, Ordering::Relaxed);
@@ -372,6 +470,16 @@ impl ShardRouter {
         self.generation.load(Ordering::Relaxed)
     }
 
+    /// Fraction of votes whose shards did not all agree (0.0 before the
+    /// first vote).
+    pub fn vote_disagreement_rate(&self) -> f64 {
+        let voted = self.voted.load(Ordering::Relaxed);
+        if voted == 0 {
+            return 0.0;
+        }
+        self.disagreed.load(Ordering::Relaxed) as f64 / voted as f64
+    }
+
     /// Point-in-time routing and per-shard health snapshot.
     pub fn stats(&self) -> RouterStats {
         RouterStats {
@@ -412,7 +520,8 @@ pub struct RouterStats {
     pub state: RouterState,
     /// Deployment generation (0 = initial programming).
     pub generation: u64,
-    /// Requests successfully routed to a shard.
+    /// Requests successfully submitted to a shard (a vote submits one per
+    /// shard).
     pub routed: u64,
     /// Requests shed for overload (before or at the shard queue).
     pub shed: u64,
@@ -446,6 +555,23 @@ impl RouterStats {
             weighted(&|s| s.p99_us),
         )
     }
+}
+
+/// Majority vote with deterministic tie-breaking (smallest class wins a
+/// tie, matching argmax's first-maximum convention).
+fn majority(votes: &[usize]) -> usize {
+    let mut counts: Vec<(usize, usize)> = Vec::new();
+    for &v in votes {
+        match counts.iter_mut().find(|(class, _)| *class == v) {
+            Some((_, n)) => *n += 1,
+            None => counts.push((v, 1)),
+        }
+    }
+    counts
+        .into_iter()
+        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
+        .map(|(class, _)| class)
+        .expect("majority of at least one vote")
 }
 
 #[cfg(test)]
@@ -594,5 +720,47 @@ mod tests {
         assert_eq!(total, 24);
         assert!(throughput > 0.0);
         assert!(p50 > 0.0 && p50 <= p95 && p95 <= p99);
+    }
+
+    #[test]
+    fn majority_picks_the_mode() {
+        assert_eq!(majority(&[2, 2, 0]), 2);
+        assert_eq!(majority(&[1, 1, 1]), 1);
+        assert_eq!(majority(&[3]), 3);
+    }
+
+    #[test]
+    fn majority_breaks_ties_toward_the_smaller_class() {
+        assert_eq!(majority(&[4, 1]), 1);
+        assert_eq!(majority(&[0, 2, 2, 0]), 0);
+    }
+
+    #[test]
+    fn vote_after_drain_is_refused() {
+        let r = router(3, quick_config());
+        r.drain();
+        assert_eq!(
+            r.vote(&Tensor::zeros(&[4])).unwrap_err(),
+            RouterError::Draining
+        );
+        assert_eq!(r.stats().routed, 0);
+    }
+
+    #[test]
+    fn vote_sheds_when_a_shard_is_at_bound() {
+        let r = router(2, quick_config().shed_inflight(1));
+        let x = Tensor::zeros(&[4]);
+        // One held ticket puts its shard at the bound of 1.
+        let held = r.route(&x).unwrap();
+        assert_eq!(r.vote(&x).unwrap_err(), RouterError::Overloaded);
+        let stats = r.stats();
+        assert_eq!(stats.routed, 1, "a shed vote submits to no shard");
+        assert_eq!(stats.shed, 1);
+        assert_eq!(stats.inflight.iter().sum::<usize>(), 1);
+        held.wait().unwrap();
+        assert!(r.stats().inflight.iter().all(|&n| n == 0));
+        // With the bound cleared the same vote goes through.
+        assert!(r.vote(&x).unwrap().unanimous);
+        assert!(r.stats().inflight.iter().all(|&n| n == 0));
     }
 }

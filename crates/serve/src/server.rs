@@ -439,6 +439,11 @@ fn worker_loop(
     config: &ServeConfig,
     sample_dims: &[usize],
 ) {
+    // Read the epoch before the slot: an install landing in between then
+    // leaves `seen_epoch` stale, so the first batch rebinds. Read the
+    // other way round, the worker could bind the old deployment under
+    // the new epoch and never swap.
+    let mut seen_epoch = shared.epoch.load(Ordering::Acquire);
     // Plan the session at max_batch up front so every batch size the
     // queue can produce runs in pre-sized scratch.
     let mut session = Session::with_plan(
@@ -446,7 +451,6 @@ fn worker_loop(
         sample_dims,
         config.max_batch,
     );
-    let mut seen_epoch = shared.epoch.load(Ordering::Acquire);
     let mut scratch = WorkerScratch {
         // cn-lint: allow(alloc-in-hot-loop, reason = "grown once per worker at startup, before the steady-state loop")
         batch: Vec::with_capacity(config.max_batch),
@@ -670,5 +674,38 @@ mod tests {
         let swapped = srv.classify(&x).unwrap();
         assert_eq!(swapped.logits, noisy.infer(&x.reshape(&[1, 4])).data());
         assert_ne!(clean.logits, swapped.logits);
+    }
+
+    #[test]
+    fn install_during_worker_startup_is_not_lost() {
+        // A swap that lands while a fresh worker is still planning its
+        // session must reach that worker: the epoch it starts from may
+        // not be newer than the deployment it bound. The window sits
+        // inside the worker thread, so the delays sweep the install
+        // across its start-up instead of forcing the interleaving.
+        let model = mlp(&[64, 256, 256, 10], 5);
+        let x = SeededRng::new(6).normal_tensor(&[64], 0.0, 1.0);
+        let nominal = EngineBuilder::new(&model).compile().shared();
+        let noisy = EngineBuilder::new(&model)
+            .backend(cn_analog::engine::AnalogBackend::lognormal(0.8))
+            .seed(7)
+            .compile()
+            .shared();
+        let expected = noisy.infer(&x.reshape(&[1, 64]));
+        for step in 0..40u64 {
+            let srv = Server::new(
+                Arc::clone(&nominal),
+                &[64],
+                &ServeConfig::new(256).workers(1),
+            );
+            std::thread::sleep(Duration::from_micros(step * 25));
+            srv.install(Arc::clone(&noisy));
+            let reply = srv.classify(&x).unwrap();
+            assert_eq!(
+                reply.logits,
+                expected.data(),
+                "swap after {step}×25 µs lost"
+            );
+        }
     }
 }

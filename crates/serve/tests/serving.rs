@@ -1,12 +1,12 @@
 //! Integration tests of the serving layer: batcher invariants under
-//! concurrent load and fleet majority-vote correctness on rigged
-//! deployments.
+//! concurrent load and shard-router routing and majority-vote
+//! correctness on rigged deployments.
 
 use cn_analog::drift::ConductanceDrift;
 use cn_analog::engine::{AnalogBackend, CompiledModel, DigitalBackend, EngineBuilder};
 use cn_nn::zoo::mlp;
 use cn_nn::Sequential;
-use cn_serve::{Fleet, RoutePolicy, ServeConfig, ServeError, Server};
+use cn_serve::{RouterConfig, ServeConfig, ServeError, Server, ShardRouter};
 use cn_tensor::{SeededRng, Tensor};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,8 +30,8 @@ fn constant_class_model(class: usize) -> Sequential {
     model
 }
 
-fn rigged_fleet(classes: &[usize], policy: RoutePolicy, config: &ServeConfig) -> Fleet {
-    let instances = classes
+fn rigged_router(classes: &[usize], config: &ServeConfig) -> ShardRouter {
+    let shards = classes
         .iter()
         .map(|&c| {
             EngineBuilder::new(&constant_class_model(c))
@@ -39,7 +39,13 @@ fn rigged_fleet(classes: &[usize], policy: RoutePolicy, config: &ServeConfig) ->
                 .shared()
         })
         .collect();
-    Fleet::from_compiled(instances, Box::new(DigitalBackend), 7, policy, &[4], config)
+    ShardRouter::from_compiled(
+        shards,
+        Box::new(DigitalBackend),
+        7,
+        &[4],
+        &RouterConfig::new(config.clone()),
+    )
 }
 
 #[test]
@@ -185,18 +191,18 @@ fn fleet_majority_vote_on_rigged_instances() {
     let config = ServeConfig::new(4)
         .workers(1)
         .max_wait(Duration::from_millis(1));
-    let fleet = rigged_fleet(&[2, 2, 0], RoutePolicy::Majority, &config);
+    let router = rigged_router(&[2, 2, 0], &config);
     let x = SeededRng::new(5).normal_tensor(&[4], 0.0, 1.0);
     for _ in 0..10 {
-        let reply = fleet.classify(&x).unwrap();
+        let reply = router.vote(&x).unwrap();
         assert_eq!(reply.class, 2, "majority of [2, 2, 0] is 2");
         assert_eq!(reply.votes, vec![2, 2, 0]);
         assert!(!reply.unanimous);
     }
-    assert_eq!(fleet.vote_disagreement_rate(), 1.0);
+    assert_eq!(router.vote_disagreement_rate(), 1.0);
 
-    let agreeing = rigged_fleet(&[1, 1, 1], RoutePolicy::Majority, &config);
-    let reply = agreeing.classify(&x).unwrap();
+    let agreeing = rigged_router(&[1, 1, 1], &config);
+    let reply = agreeing.vote(&x).unwrap();
     assert_eq!(reply.class, 1);
     assert!(reply.unanimous);
     assert_eq!(agreeing.vote_disagreement_rate(), 0.0);
@@ -207,12 +213,16 @@ fn round_robin_rotates_across_instances() {
     let config = ServeConfig::new(2)
         .workers(1)
         .max_wait(Duration::from_millis(1));
-    let fleet = rigged_fleet(&[0, 1, 2], RoutePolicy::RoundRobin, &config);
+    let router = rigged_router(&[0, 1, 2], &config);
     let x = Tensor::zeros(&[4]);
-    let classes: Vec<usize> = (0..6).map(|_| fleet.classify(&x).unwrap().class).collect();
+    // Waiting for each reply leaves every shard idle, so pick-two's first
+    // candidate (which rotates and wins ties) serves each request.
+    let classes: Vec<usize> = (0..6)
+        .map(|_| router.route(&x).unwrap().wait().unwrap().class)
+        .collect();
     assert_eq!(classes, vec![0, 1, 2, 0, 1, 2]);
-    // Round-robin never votes, so disagreement stays undefined/zero.
-    assert_eq!(fleet.vote_disagreement_rate(), 0.0);
+    // Routing never votes, so disagreement stays undefined/zero.
+    assert_eq!(router.vote_disagreement_rate(), 0.0);
 }
 
 #[test]
@@ -221,51 +231,49 @@ fn drift_recompilation_swaps_deployments_without_stopping_traffic() {
     let config = ServeConfig::new(4)
         .workers(1)
         .max_wait(Duration::from_millis(1));
-    let fleet = Fleet::new(
+    let router = ShardRouter::new(
         &model,
         AnalogBackend::lognormal(0.3),
         2,
         11,
-        RoutePolicy::RoundRobin,
         &[4],
-        &config,
+        &RouterConfig::new(config),
     );
     let x = SeededRng::new(12).normal_tensor(&[4], 0.0, 1.0);
-    let before: Vec<f32> = fleet.classify_on(0, &x).unwrap().logits;
+    let before: Vec<f32> = router.shard(0).classify(&x).unwrap().logits;
 
     let drift = ConductanceDrift::new(0.08, 0.02, 1.0);
-    fleet.recompile_drifted(&drift, 10_000.0);
-    assert_eq!(fleet.generation(), 1);
-    let drifted: Vec<f32> = fleet.classify_on(0, &x).unwrap().logits;
+    router.recompile_drifted(&drift, 10_000.0);
+    assert_eq!(router.generation(), 1);
+    let drifted: Vec<f32> = router.shard(0).classify(&x).unwrap().logits;
     assert_ne!(before, drifted, "drifted deployment must change the logits");
 
     // Re-programming draws a fresh instance on the base backend.
-    fleet.reprogram();
-    assert_eq!(fleet.generation(), 2);
-    let reprogrammed: Vec<f32> = fleet.classify_on(0, &x).unwrap().logits;
+    router.reprogram();
+    assert_eq!(router.generation(), 2);
+    let reprogrammed: Vec<f32> = router.shard(0).classify(&x).unwrap().logits;
     assert_ne!(drifted, reprogrammed);
-    fleet.shutdown();
+    router.shutdown();
 }
 
 #[test]
 fn digital_fleet_matches_direct_inference() {
     let model = mlp(&[4, 16, 3], 20);
-    let fleet = Fleet::new(
+    let router = ShardRouter::new(
         &model,
         DigitalBackend,
         3,
         21,
-        RoutePolicy::Majority,
         &[4],
-        &ServeConfig::new(4).max_wait(Duration::from_millis(1)),
+        &RouterConfig::new(ServeConfig::new(4).max_wait(Duration::from_millis(1))),
     );
     let mut rng = SeededRng::new(22);
     for _ in 0..10 {
         let x = rng.normal_tensor(&[4], 0.0, 1.0);
         let expected = model.infer(&x.reshape(&[1, 4])).argmax_rows()[0];
-        let reply = fleet.classify(&x).unwrap();
+        let reply = router.vote(&x).unwrap();
         assert_eq!(reply.class, expected);
         assert!(reply.unanimous, "digital replicas are identical");
     }
-    assert_eq!(fleet.vote_disagreement_rate(), 0.0);
+    assert_eq!(router.vote_disagreement_rate(), 0.0);
 }

@@ -1,6 +1,5 @@
 //! Shape and stride bookkeeping for row-major tensors.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The dimensions of a tensor, row-major (last dimension is contiguous).
@@ -8,7 +7,7 @@ use std::fmt;
 /// `Shape` is a thin wrapper over `Vec<usize>` providing element counts,
 /// stride computation and multi-index/linear-offset conversion. A rank-0
 /// shape (`[]`) denotes a scalar with one element.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape(Vec<usize>);
 
 impl Shape {

@@ -2,7 +2,6 @@
 
 use crate::error::{Result, TensorError};
 use crate::shape::Shape;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An owned, contiguous, row-major `f32` tensor.
@@ -22,7 +21,7 @@ use std::fmt;
 /// assert_eq!(t.shape().dims(), &[2, 3]);
 /// assert_eq!(t.numel(), 6);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,

@@ -9,7 +9,7 @@
 
 use cn_analog::cell::CellSpec;
 use cn_analog::deployment::DeploymentMode;
-use cn_analog::engine::monte_carlo;
+use cn_analog::engine::{monte_carlo, AnalogBackend};
 use cn_analog::montecarlo::McConfig;
 use cn_analog::{Crossbar, TiledCrossbar};
 use cn_data::synthetic_mnist;
@@ -51,13 +51,13 @@ fn main() {
         &model,
         &data.test,
         &mc,
-        &DeploymentMode::WeightLognormal { sigma: 0.3 },
+        &AnalogBackend::new(DeploymentMode::WeightLognormal { sigma: 0.3 }),
     );
     let device_level = monte_carlo(
         &model,
         &data.test,
         &mc,
-        &DeploymentMode::Conductance {
+        &AnalogBackend::new(DeploymentMode::Conductance {
             spec: CellSpec {
                 prog_sigma: 0.3,
                 read_sigma: 0.0,
@@ -65,13 +65,13 @@ fn main() {
                 ..CellSpec::ideal(1.0, 100.0)
             },
             tile_size: 128,
-        },
+        }),
     );
     let quantized = monte_carlo(
         &model,
         &data.test,
         &mc,
-        &DeploymentMode::Conductance {
+        &AnalogBackend::new(DeploymentMode::Conductance {
             spec: CellSpec {
                 prog_sigma: 0.3,
                 read_sigma: 0.0,
@@ -79,7 +79,7 @@ fn main() {
                 ..CellSpec::ideal(1.0, 100.0)
             },
             tile_size: 128,
-        },
+        }),
     );
     println!("\naccuracy under σ = 0.3 (8 MC samples):");
     println!(

@@ -1,6 +1,6 @@
-//! Serving walkthrough: a fleet of independent analog deployments behind
-//! a dynamic-batching front — bounded admission, micro-batch coalescing,
-//! majority-vote redundancy and drift-aware re-programming.
+//! Serving walkthrough: a shard set of independent analog deployments
+//! behind a dynamic-batching front — bounded admission, micro-batch
+//! coalescing, majority-vote redundancy and drift-aware re-programming.
 //!
 //! ```bash
 //! cargo run --release --example serving
@@ -13,9 +13,9 @@ use std::time::Duration;
 const REQUESTS: usize = 512;
 const CLIENTS: usize = 8;
 
-/// Drives `REQUESTS` classifications through the fleet from `CLIENTS`
-/// concurrent client threads, treating `QueueFull` as backpressure.
-fn drive(fleet: &Fleet, samples: &[(Tensor, usize)]) -> f32 {
+/// Drives `REQUESTS` majority votes through the router from `CLIENTS`
+/// concurrent client threads, treating `Overloaded` as backpressure.
+fn drive(router: &ShardRouter, samples: &[(Tensor, usize)]) -> f32 {
     let next = AtomicUsize::new(0);
     let hits = AtomicUsize::new(0);
     std::thread::scope(|scope| {
@@ -27,9 +27,9 @@ fn drive(fleet: &Fleet, samples: &[(Tensor, usize)]) -> f32 {
                 }
                 let (sample, label) = &samples[i % samples.len()];
                 let reply = loop {
-                    match fleet.classify(sample) {
+                    match router.vote(sample) {
                         Ok(reply) => break reply,
-                        Err(ServeError::QueueFull) => std::thread::yield_now(),
+                        Err(RouterError::Overloaded) => std::thread::yield_now(),
                         Err(e) => panic!("serving failed: {e}"),
                     }
                 };
@@ -61,25 +61,24 @@ fn main() {
     let config = ServeConfig::new(32)
         .max_wait(Duration::from_millis(2))
         .workers(2);
-    let fleet = Fleet::new(
+    let router = ShardRouter::new(
         &model,
         AnalogBackend::lognormal(0.3),
         3,
         42,
-        RoutePolicy::Majority,
         &sample_dims,
-        &config,
+        &RouterConfig::new(config),
     );
 
-    let accuracy = drive(&fleet, &samples);
+    let accuracy = drive(&router, &samples);
     println!("majority-vote accuracy      : {accuracy:.3}");
     println!(
         "vote disagreement rate      : {:.3}",
-        fleet.vote_disagreement_rate()
+        router.vote_disagreement_rate()
     );
-    for (i, stats) in fleet.stats().iter().enumerate() {
+    for (i, stats) in router.stats().shards.iter().enumerate() {
         println!(
-            "instance {i}: {} requests in {} batches, fill {:.2}, p50 {:.2} ms, p99 {:.2} ms",
+            "shard {i}: {} requests in {} batches, fill {:.2}, p50 {:.2} ms, p99 {:.2} ms",
             stats.requests,
             stats.batches,
             stats.batch_fill,
@@ -88,14 +87,14 @@ fn main() {
         );
     }
 
-    // Field aging: recompile every instance under conductance drift, then
+    // Field aging: recompile every shard under conductance drift, then
     // re-program the crossbars to recover.
     let drift = ConductanceDrift::new(0.05, 0.02, 1.0);
-    fleet.recompile_drifted(&drift, 1.0e4);
-    let drifted = drive(&fleet, &samples);
-    fleet.reprogram();
-    let reprogrammed = drive(&fleet, &samples);
+    router.recompile_drifted(&drift, 1.0e4);
+    let drifted = drive(&router, &samples);
+    router.reprogram();
+    let reprogrammed = drive(&router, &samples);
     println!("accuracy after drift (t=1e4): {drifted:.3}");
     println!("accuracy after re-program   : {reprogrammed:.3}");
-    fleet.shutdown();
+    router.shutdown();
 }

@@ -37,7 +37,9 @@ pub mod prelude {
     pub use cn_nn::trainer::{TrainConfig, Trainer};
     pub use cn_nn::zoo::{lenet5, vgg16, LeNetConfig, VggConfig};
     pub use cn_nn::{Layer, Sequential};
-    pub use cn_serve::{Fleet, FleetReply, RoutePolicy, ServeConfig, ServeError, Server};
+    pub use cn_serve::{
+        RouterConfig, RouterError, ServeConfig, ServeError, Server, ShardRouter, Vote,
+    };
     pub use cn_tensor::{SeededRng, Tensor};
     pub use correctnet::compensation::{apply_compensation, weight_overhead, CompensationPlan};
     pub use correctnet::lipschitz::{lambda_for, LipschitzRegularizer};

@@ -3,7 +3,7 @@
 
 use cn_analog::cell::CellSpec;
 use cn_analog::deployment::DeploymentMode;
-use cn_analog::engine::monte_carlo;
+use cn_analog::engine::{monte_carlo, AnalogBackend};
 use cn_analog::montecarlo::McConfig;
 use cn_data::synthetic_mnist;
 use cn_nn::optim::Adam;
@@ -25,16 +25,16 @@ fn ideal_conductance_deployment_matches_clean_accuracy() {
         &model,
         &data.test,
         &mc,
-        &DeploymentMode::WeightLognormal { sigma: 0.0 },
+        &AnalogBackend::new(DeploymentMode::WeightLognormal { sigma: 0.0 }),
     );
     let ideal = monte_carlo(
         &model,
         &data.test,
         &mc,
-        &DeploymentMode::Conductance {
+        &AnalogBackend::new(DeploymentMode::Conductance {
             spec: CellSpec::ideal(1.0, 100.0),
             tile_size: 128,
-        },
+        }),
     );
     assert!(
         (clean.mean - ideal.mean).abs() < 0.02,
@@ -55,19 +55,19 @@ fn both_models_degrade_with_variation_strength() {
             &model,
             &data.test,
             &mc,
-            &DeploymentMode::WeightLognormal { sigma },
+            &AnalogBackend::new(DeploymentMode::WeightLognormal { sigma }),
         );
         let device = monte_carlo(
             &model,
             &data.test,
             &mc,
-            &DeploymentMode::Conductance {
+            &AnalogBackend::new(DeploymentMode::Conductance {
                 spec: CellSpec {
                     prog_sigma: sigma,
                     ..CellSpec::ideal(1.0, 100.0)
                 },
                 tile_size: 128,
-            },
+            }),
         );
         assert!(weight.mean <= previous_weight + 0.05);
         assert!(device.mean <= previous_device + 0.05);
@@ -85,16 +85,16 @@ fn stuck_faults_compound_with_lognormal() {
         &model,
         &data.test,
         &mc,
-        &DeploymentMode::WeightLognormal { sigma: 0.3 },
+        &AnalogBackend::new(DeploymentMode::WeightLognormal { sigma: 0.3 }),
     );
     let faulty = monte_carlo(
         &model,
         &data.test,
         &mc,
-        &DeploymentMode::LognormalWithFaults {
+        &AnalogBackend::new(DeploymentMode::LognormalWithFaults {
             sigma: 0.3,
             faults: StuckFaults::new(0.1, 0.0, 0.0),
-        },
+        }),
     );
     assert!(
         faulty.mean <= plain.mean + 0.02,

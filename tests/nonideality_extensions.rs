@@ -3,7 +3,7 @@
 
 use cn_analog::deployment::DeploymentMode;
 use cn_analog::drift::ConductanceDrift;
-use cn_analog::engine::monte_carlo;
+use cn_analog::engine::{monte_carlo, AnalogBackend};
 use cn_analog::irdrop::IrDrop;
 use cn_analog::montecarlo::McConfig;
 use cn_data::synthetic_mnist;
@@ -27,21 +27,21 @@ fn drift_degrades_accuracy_over_time() {
         &model,
         &data.test,
         &mc,
-        &DeploymentMode::LognormalWithDrift {
+        &AnalogBackend::new(DeploymentMode::LognormalWithDrift {
             sigma: 0.2,
             drift,
             t: 1.0,
-        },
+        }),
     );
     let aged = monte_carlo(
         &model,
         &data.test,
         &mc,
-        &DeploymentMode::LognormalWithDrift {
+        &AnalogBackend::new(DeploymentMode::LognormalWithDrift {
             sigma: 0.2,
             drift,
             t: 1e6,
-        },
+        }),
     );
     assert!(
         aged.mean <= fresh.mean + 0.02,
@@ -59,25 +59,25 @@ fn mild_irdrop_is_survivable_severe_is_not_free() {
         &model,
         &data.test,
         &mc,
-        &DeploymentMode::WeightLognormal { sigma: 0.0 },
+        &AnalogBackend::new(DeploymentMode::WeightLognormal { sigma: 0.0 }),
     );
     let mild = monte_carlo(
         &model,
         &data.test,
         &mc,
-        &DeploymentMode::LognormalWithIrDrop {
+        &AnalogBackend::new(DeploymentMode::LognormalWithIrDrop {
             sigma: 0.0,
             irdrop: IrDrop::new(0.05),
-        },
+        }),
     );
     let severe = monte_carlo(
         &model,
         &data.test,
         &mc,
-        &DeploymentMode::LognormalWithIrDrop {
+        &AnalogBackend::new(DeploymentMode::LognormalWithIrDrop {
             sigma: 0.0,
             irdrop: IrDrop::new(2.0),
-        },
+        }),
     );
     assert!(
         mild.mean > clean.mean - 0.05,
@@ -108,8 +108,15 @@ fn compensation_also_recovers_drift_losses() {
         drift,
         t: 1e5,
     };
-    let eval =
-        |m: &cn_nn::Sequential| monte_carlo(m, &data.test, &McConfig::new(6, 0.4, 406), &mode).mean;
+    let eval = |m: &cn_nn::Sequential| {
+        monte_carlo(
+            m,
+            &data.test,
+            &McConfig::new(6, 0.4, 406),
+            &AnalogBackend::new(mode.clone()),
+        )
+        .mean
+    };
     let before = eval(&model);
     let plan = CompensationPlan::uniform(&[0, 1], 1.0);
     let cfg = CompensationTrainConfig::new(0.4, 5, 408);
