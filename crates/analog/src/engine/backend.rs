@@ -2,7 +2,6 @@
 
 use crate::deployment::DeploymentMode;
 use crate::drift::ConductanceDrift;
-use crate::mapping::{conductance_masks, MappingConfig};
 use cn_nn::Sequential;
 use cn_tensor::{SeededRng, Tensor};
 
@@ -107,40 +106,6 @@ impl Backend for AnalogBackend {
     }
 }
 
-/// Conductance-level deployment through tiled physical crossbars: every
-/// analog layer is programmed onto `tile_size`² differential-pair arrays
-/// (programming variation, quantization, read parameters from the cell
-/// spec) and the effective weights are read back as masks.
-#[derive(Debug, Clone, Copy)]
-pub struct TiledBackend {
-    cfg: MappingConfig,
-}
-
-impl TiledBackend {
-    /// Deployment onto tiled crossbars with the given mapping.
-    pub fn new(cfg: MappingConfig) -> Self {
-        TiledBackend { cfg }
-    }
-
-    /// The mapping configuration.
-    pub fn config(&self) -> &MappingConfig {
-        &self.cfg
-    }
-}
-
-impl Backend for TiledBackend {
-    fn name(&self) -> String {
-        format!("tiled({}×{})", self.cfg.tile_size, self.cfg.tile_size)
-    }
-
-    fn mask_plan(&self, model: &Sequential, rng: &mut SeededRng) -> MaskPlan {
-        conductance_masks(model, &self.cfg, rng)
-            .into_iter()
-            .map(Some)
-            .collect()
-    }
-}
-
 /// A backend aged by conductance retention drift: the wrapped backend's
 /// mask plan composed with a per-weight [`ConductanceDrift`] mask sampled
 /// at time `t`.
@@ -197,50 +162,18 @@ impl Backend for DriftBackend<'_> {
     }
 }
 
-/// Escape hatch wrapping an arbitrary perturbation closure (the removed
-/// legacy `mc_with` contract): the closure receives a fresh model instance and
-/// the instance RNG and may mutate it freely (install masks, retrain…).
-/// Masks it installs stay live (no baking), so the immutable inference
-/// path still honours them.
-pub struct PerturbBackend<F> {
-    f: F,
-}
-
-impl<F> PerturbBackend<F>
-where
-    F: Fn(&mut Sequential, &mut SeededRng) + Sync + Send,
-{
-    /// Wraps a perturbation closure.
-    pub fn new(f: F) -> Self {
-        PerturbBackend { f }
-    }
-}
-
-impl<F> Backend for PerturbBackend<F>
-where
-    F: Fn(&mut Sequential, &mut SeededRng) + Sync + Send,
-{
-    fn name(&self) -> String {
-        "perturb".to_string()
-    }
-
-    fn mask_plan(&self, model: &Sequential, _rng: &mut SeededRng) -> MaskPlan {
-        vec![None; model.noisy_layers().len()]
-    }
-
-    fn finalize(&self, instance: &mut Sequential, rng: &mut SeededRng) {
-        (self.f)(instance, rng);
-    }
-
-    fn bake(&self) -> bool {
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cn_nn::zoo::mlp;
+
+    /// Conductance-level deployment onto 128×128 ideal-cell crossbars.
+    fn ideal_tiles() -> DeploymentMode {
+        DeploymentMode::Conductance {
+            spec: crate::cell::CellSpec::ideal(1.0, 100.0),
+            tile_size: 128,
+        }
+    }
 
     #[test]
     fn digital_plan_is_all_exact() {
@@ -266,8 +199,7 @@ mod tests {
     #[test]
     fn tiled_ideal_masks_are_unity() {
         let model = mlp(&[4, 8, 3], 5);
-        let backend =
-            TiledBackend::new(MappingConfig::new(crate::cell::CellSpec::ideal(1.0, 100.0)));
+        let backend = AnalogBackend::new(ideal_tiles());
         for mask in backend.mask_plan(&model, &mut SeededRng::new(6)) {
             let mask = mask.expect("tiled backend programs every layer");
             assert!(mask.data().iter().all(|&m| (m - 1.0).abs() < 1e-3));
@@ -307,10 +239,6 @@ mod tests {
     fn backend_names_are_informative() {
         assert_eq!(DigitalBackend.name(), "digital");
         assert!(AnalogBackend::lognormal(0.5).name().contains("0.5"));
-        assert!(
-            TiledBackend::new(MappingConfig::new(crate::cell::CellSpec::ideal(1.0, 100.0)))
-                .name()
-                .contains("128")
-        );
+        assert!(AnalogBackend::new(ideal_tiles()).name().contains("128"));
     }
 }

@@ -7,20 +7,21 @@
 //! shape, replacing the historic mutate-in-place evaluation:
 //!
 //! 1. **Compile** — [`EngineBuilder`] samples a deployment from a
-//!    [`Backend`] (exact [`DigitalBackend`], weight-level [`AnalogBackend`],
-//!    conductance-level [`TiledBackend`], or a custom implementation) and
-//!    freezes it as an immutable [`CompiledModel`] (`Send + Sync`,
-//!    shareable via `Arc`; variation masks are baked into the weights).
+//!    [`Backend`] (exact [`DigitalBackend`], [`AnalogBackend`] over any
+//!    [`DeploymentMode`](crate::DeploymentMode) from weight-level
+//!    log-normal to conductance-level tiled crossbars, or a custom
+//!    implementation) and freezes it as an immutable [`CompiledModel`]
+//!    (`Send + Sync`, shareable via `Arc`; variation masks are baked into
+//!    the weights).
 //! 2. **Execute** — each [`Session`] owns reusable scratch (ping-pong
 //!    activations, a batch tensor, a prediction buffer) and runs batched
 //!    inference (`infer_batch` / `logits_batch` / `evaluate`) against a
 //!    compiled snapshot with no per-call model cloning, weight
 //!    re-deployment or, once warm, heap allocation.
 //!
-//! [`monte_carlo`] re-expresses the paper's 250-sample evaluation protocol
-//! as N compiled instances executed through per-worker sessions; the old
-//! `montecarlo::mc_*` free functions are deprecated one-line shims over
-//! it.
+//! [`monte_carlo`] runs the paper's 250-sample evaluation protocol as N
+//! compiled instances executed through per-worker sessions, configured by
+//! [`McConfig`] and summarised in an [`McResult`].
 //!
 //! ```
 //! use cn_analog::engine::{AnalogBackend, EngineBuilder, Session};
@@ -49,9 +50,7 @@ mod compiled;
 mod mc;
 mod session;
 
-pub use backend::{
-    AnalogBackend, Backend, DigitalBackend, DriftBackend, MaskPlan, PerturbBackend, TiledBackend,
-};
+pub use backend::{AnalogBackend, Backend, DigitalBackend, DriftBackend, MaskPlan};
 pub use compiled::{CompiledModel, EngineBuilder};
-pub use mc::monte_carlo;
+pub use mc::{monte_carlo, McConfig, McResult};
 pub use session::Session;

@@ -22,16 +22,14 @@
 //! [`Session`]s execute batched inference against.
 //! [`engine::monte_carlo`] runs the paper's N-sample accuracy protocol
 //! (mean/std the paper plots as solid lines and ranges in its Figs. 2
-//! and 7) on that API; the legacy mutate-in-place entry points in
-//! [`montecarlo`] are deprecated shims over it. [`energy`] provides a
+//! and 7) on that API. [`energy`] provides a
 //! coarse energy/latency model backing the "negligible hardware cost"
 //! claim of Table I.
 //!
 //! # Example
 //!
 //! ```
-//! use cn_analog::engine::{monte_carlo, AnalogBackend};
-//! use cn_analog::montecarlo::McConfig;
+//! use cn_analog::engine::{monte_carlo, AnalogBackend, McConfig};
 //! use cn_data::synthetic_mnist;
 //! use cn_nn::zoo::{lenet5, LeNetConfig};
 //!
@@ -54,17 +52,21 @@ pub mod engine;
 pub mod faults;
 pub mod irdrop;
 pub mod mapping;
-pub mod montecarlo;
 pub mod tiled;
 pub mod variation;
+
+/// The Monte-Carlo protocol's configuration and result types under their
+/// original path; they live in [`engine`].
+pub mod montecarlo {
+    pub use crate::engine::{McConfig, McResult};
+}
 
 pub use cell::CellSpec;
 pub use crossbar::Crossbar;
 pub use deployment::DeploymentMode;
 pub use engine::{
-    monte_carlo, AnalogBackend, Backend, CompiledModel, DigitalBackend, EngineBuilder, Session,
-    TiledBackend,
+    monte_carlo, AnalogBackend, Backend, CompiledModel, DigitalBackend, EngineBuilder, McConfig,
+    McResult, Session,
 };
-pub use montecarlo::{McConfig, McResult};
 pub use tiled::TiledCrossbar;
 pub use variation::VariationModel;

@@ -5,8 +5,7 @@
 //! retraining — are the only weights a per-chip fine-tuning step may
 //! adjust (realized by element-wise gradient masking).
 
-use cn_analog::engine::{monte_carlo, Backend, MaskPlan};
-use cn_analog::montecarlo::{McConfig, McResult};
+use cn_analog::engine::{monte_carlo, Backend, MaskPlan, McConfig, McResult};
 use cn_data::{BatchIter, Dataset};
 use cn_nn::loss::softmax_cross_entropy;
 use cn_nn::Sequential;

@@ -1,7 +1,7 @@
 //! Critical-weight replication into SRAM (≈ paper ref. \[8\]).
 
 use crate::protection::{eval_protected, ProtectionMasks, RetrainConfig};
-use cn_analog::montecarlo::McResult;
+use cn_analog::engine::McResult;
 use cn_data::Dataset;
 use cn_nn::Sequential;
 

@@ -7,7 +7,7 @@
 
 use crate::protection::{eval_protected, ProtectionMasks, RetrainConfig};
 use crate::replication::ReplicationPoint;
-use cn_analog::montecarlo::McResult;
+use cn_analog::engine::McResult;
 use cn_data::Dataset;
 use cn_nn::Sequential;
 

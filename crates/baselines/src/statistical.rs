@@ -64,8 +64,7 @@ pub fn train_noise_aware(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cn_analog::engine::{monte_carlo, AnalogBackend};
-    use cn_analog::montecarlo::McConfig;
+    use cn_analog::engine::{monte_carlo, AnalogBackend, McConfig};
     use cn_data::synthetic_mnist;
     use cn_nn::optim::Adam;
     use cn_nn::trainer::Trainer;

@@ -2,8 +2,7 @@
 //! and the cost of one deployment sample (the unit the paper repeats 250×).
 
 use cn_analog::deployment::DeploymentMode;
-use cn_analog::engine::{monte_carlo, AnalogBackend};
-use cn_analog::montecarlo::McConfig;
+use cn_analog::engine::{monte_carlo, AnalogBackend, McConfig};
 use cn_data::synthetic_mnist;
 use cn_nn::noise::sample_masks;
 use cn_nn::zoo::{lenet5, LeNetConfig};

@@ -5,7 +5,7 @@
 use super::{Ctx, Experiment};
 use crate::profile::{pipeline_config, Pair};
 use crate::report::ExperimentReport;
-use cn_analog::montecarlo::McConfig;
+use cn_analog::engine::McConfig;
 use cn_nn::metrics::evaluate;
 use cn_nn::optim::Adam;
 use cn_nn::trainer::{TrainConfig, Trainer};

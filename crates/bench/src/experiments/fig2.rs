@@ -5,7 +5,7 @@
 use super::{Ctx, Experiment};
 use crate::profile::Pair;
 use crate::report::{ExperimentReport, Series, SeriesPoint};
-use cn_analog::montecarlo::McConfig;
+use cn_analog::engine::McConfig;
 use correctnet::engine::{monte_carlo, AnalogBackend};
 use correctnet::report::{pct, pct_pm};
 

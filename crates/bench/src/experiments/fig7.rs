@@ -5,7 +5,7 @@
 use super::{candidate_prefix, Ctx, Experiment};
 use crate::profile::{pipeline_config, Pair};
 use crate::report::{ExperimentReport, Series, SeriesPoint};
-use cn_analog::montecarlo::McConfig;
+use cn_analog::engine::McConfig;
 use correctnet::compensation::weight_overhead;
 use correctnet::engine::{monte_carlo, AnalogBackend};
 use correctnet::pipeline::CorrectNetStages;

@@ -9,7 +9,7 @@
 //! The same sweep produces the data behind the paper's Fig. 9.
 
 use crate::engine::{monte_carlo, AnalogBackend, DigitalBackend, EngineBuilder, Session};
-use cn_analog::montecarlo::McConfig;
+use cn_analog::engine::McConfig;
 use cn_data::Dataset;
 use cn_nn::noise::num_weight_layers;
 use cn_nn::Sequential;

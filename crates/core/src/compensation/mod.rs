@@ -3,25 +3,23 @@
 //! A *generator* produces compensation data from the concatenation of a
 //! layer's (pooled) input and output feature maps; a *compensator* merges
 //! the compensation data back into the output. Both are 1×1-kernel
-//! convolutions (dense analogues for fully connected layers), executed
-//! digitally and therefore immune to analog variations.
+//! convolutions (dense layers for fully connected bases), executed
+//! digitally and therefore immune to analog variations. One wrapper type,
+//! [`Compensated`], implements this dataflow for either base kind.
 //!
 //! Given an original layer with `l` input and `n` output feature maps and
 //! a compensation ratio `r` (the RL action `Sᵢ` of the paper), the
 //! generator holds `m = max(1, round(r·n))` filters of shape `1×1×(l+n)`
 //! and the compensator `n` filters of shape `1×1×(n+m)`.
 
-pub mod conv;
-pub mod dense;
+pub mod layer;
 pub mod train;
 
-pub use conv::CompensatedConv2d;
-pub use dense::CompensatedDense;
+pub use layer::Compensated;
 pub use train::{
     train_compensators, train_compensators_mode, train_compensators_with, CompensationTrainConfig,
 };
 
-use cn_nn::layers::{Conv2d, Dense};
 use cn_nn::Sequential;
 
 /// Number of generator filters for an original layer with `n` outputs at
@@ -76,8 +74,9 @@ impl CompensationPlan {
 ///
 /// # Panics
 ///
-/// Panics if a planned layer index is out of range, targets a layer that
-/// is neither `Conv2d` nor `Dense`, or is already compensated.
+/// Panics if a planned layer index is out of range, or targets a layer
+/// [`Compensated::wrap`] rejects (neither `Conv2d` nor `Dense`, e.g.
+/// already compensated).
 pub fn apply_compensation(model: &Sequential, plan: &CompensationPlan, seed: u64) -> Sequential {
     let mut out = model.clone();
     let noisy = model.noisy_layers();
@@ -92,28 +91,12 @@ pub fn apply_compensation(model: &Sequential, plan: &CompensationPlan, seed: u64
             noisy.len()
         );
         let (layer_idx, _) = noisy[entry.weight_layer];
-        let layer = out.layer(layer_idx);
-        let wrapper: Box<dyn cn_nn::Layer> =
-            if let Some(conv) = layer.as_any().downcast_ref::<Conv2d>() {
-                Box::new(CompensatedConv2d::wrap(
-                    conv.clone(),
-                    entry.ratio,
-                    seed.wrapping_add(k as u64),
-                ))
-            } else if let Some(dense) = layer.as_any().downcast_ref::<Dense>() {
-                Box::new(CompensatedDense::wrap(
-                    dense.clone(),
-                    entry.ratio,
-                    seed.wrapping_add(k as u64),
-                ))
-            } else {
-                panic!(
-                    "layer {} ({}) cannot be compensated (not Conv2d/Dense or already wrapped)",
-                    layer_idx,
-                    out.layer_name(layer_idx)
-                );
-            };
-        out.replace_layer(layer_idx, wrapper);
+        let wrapper = Compensated::wrap(
+            out.layer(layer_idx),
+            entry.ratio,
+            seed.wrapping_add(k as u64),
+        );
+        out.replace_layer(layer_idx, Box::new(wrapper));
     }
     out
 }
@@ -182,14 +165,11 @@ pub fn budgeted_uniform_plan(
 pub fn compensation_weight_count(model: &Sequential) -> usize {
     (0..model.len())
         .map(|i| {
-            let layer = model.layer(i);
-            if let Some(w) = layer.as_any().downcast_ref::<CompensatedConv2d>() {
-                w.compensation_weight_count()
-            } else if let Some(w) = layer.as_any().downcast_ref::<CompensatedDense>() {
-                w.compensation_weight_count()
-            } else {
-                0
-            }
+            model
+                .layer(i)
+                .as_any()
+                .downcast_ref::<Compensated>()
+                .map_or(0, Compensated::compensation_weight_count)
         })
         .sum()
 }
@@ -209,10 +189,7 @@ pub fn weight_overhead(model: &Sequential) -> f32 {
 /// Number of compensated layers in a model (Table I's `#Layers` column).
 pub fn compensated_layer_count(model: &Sequential) -> usize {
     (0..model.len())
-        .filter(|&i| {
-            let layer = model.layer(i);
-            layer.as_any().is::<CompensatedConv2d>() || layer.as_any().is::<CompensatedDense>()
-        })
+        .filter(|&i| model.layer(i).as_any().is::<Compensated>())
         .count()
 }
 
@@ -223,10 +200,11 @@ pub fn compensated_layer_count(model: &Sequential) -> usize {
 pub fn freeze_all_but_compensation(model: &mut Sequential) {
     model.set_frozen(true);
     for i in 0..model.len() {
-        let layer = model.layer_mut(i);
-        if let Some(w) = layer.as_any_mut().downcast_mut::<CompensatedConv2d>() {
-            w.set_comp_frozen(false);
-        } else if let Some(w) = layer.as_any_mut().downcast_mut::<CompensatedDense>() {
+        if let Some(w) = model
+            .layer_mut(i)
+            .as_any_mut()
+            .downcast_mut::<Compensated>()
+        {
             w.set_comp_frozen(false);
         }
     }

@@ -106,7 +106,7 @@ mod tests {
     use super::*;
     use crate::compensation::{apply_compensation, CompensationPlan};
     use crate::engine::{monte_carlo, AnalogBackend};
-    use cn_analog::montecarlo::McConfig;
+    use cn_analog::engine::McConfig;
     use cn_data::synthetic_mnist;
     use cn_nn::optim::Adam;
     use cn_nn::zoo::{lenet5, LeNetConfig};

@@ -39,9 +39,8 @@ use cn_nn::Sequential;
 
 pub use cn_analog::engine::{
     monte_carlo, AnalogBackend, Backend, CompiledModel, DigitalBackend, DriftBackend,
-    EngineBuilder, MaskPlan, PerturbBackend, Session, TiledBackend,
+    EngineBuilder, MaskPlan, McConfig, McResult, Session,
 };
-pub use cn_analog::montecarlo::{McConfig, McResult};
 
 /// The paper's deployment model at the pipeline's variation level: a
 /// weight-level log-normal [`AnalogBackend`] at `config.sigma`.

@@ -13,7 +13,6 @@
 //! `cn-tensor` `CNSD` state dict.
 
 use super::json::Json;
-use bytes::Bytes;
 use cn_nn::Sequential;
 use cn_tensor::error::{Result, TensorError};
 use cn_tensor::io::{state_dict_from_bytes, state_dict_to_bytes};
@@ -55,7 +54,7 @@ pub fn model_from_bytes(bytes: &[u8]) -> Result<(Json, Vec<(String, Tensor)>)> {
         .map_err(|_| TensorError::Malformed("model metadata is not utf-8".into()))?;
     let meta = Json::parse(meta_text)
         .map_err(|e| TensorError::Malformed(format!("model metadata: {e}")))?;
-    let dict = state_dict_from_bytes(Bytes::from(bytes[dict_start..].to_vec()))?;
+    let dict = state_dict_from_bytes(&bytes[dict_start..])?;
     Ok((meta, dict))
 }
 

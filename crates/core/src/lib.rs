@@ -8,7 +8,7 @@
 //! - [`lipschitz`] — the λ formula (paper eq. 10) bounding the log-normal
 //!   variation factor, the orthogonality regularizer added to the training
 //!   loss (eq. 11) and per-layer spectral-norm reporting.
-//! - [`compensation`] — generator/compensator wrappers around
+//! - [`compensation`] — the generator/compensator wrapper around
 //!   convolutional and dense layers (paper Fig. 5), weight-overhead
 //!   accounting and compensator training with per-batch variation
 //!   resampling (Sec. III-B).

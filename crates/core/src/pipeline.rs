@@ -19,7 +19,7 @@ use crate::compensation::{
 };
 use crate::engine::{deployment_backend, monte_carlo, Backend};
 use crate::lipschitz::LipschitzRegularizer;
-use cn_analog::montecarlo::{McConfig, McResult};
+use cn_analog::engine::{McConfig, McResult};
 use cn_data::Dataset;
 use cn_nn::optim::Adam;
 use cn_nn::trainer::{EpochStats, TrainConfig, Trainer};

@@ -123,7 +123,8 @@ struct Ctx<'a> {
 
 /// Method names that read integers out of an untrusted byte stream.
 fn is_byte_read(name: &str) -> bool {
-    // `bytes`-shim reads: get_u8 / get_u32_le / get_f32_le / …
+    // Little-endian cursor reads (`cn_tensor::io`'s private reader):
+    // get_u8 / get_u32_le / get_f32_le / …
     if let Some(rest) = name.strip_prefix("get_") {
         let rest = rest
             .strip_suffix("_le")
@@ -739,6 +740,26 @@ mod tests {
                    out.reserve(len);\n\
                    }\n";
         assert_eq!(kinds(src), [EventKind::Alloc]);
+    }
+
+    /// The `cn_tensor::io` shape: a private `Reader<'_>` cursor over a
+    /// byte slice, read through `get_*_le` methods.
+    #[test]
+    fn slice_reader_reads_are_sources_and_remaining_guard_clears() {
+        let unguarded = "fn read(buf: &mut Reader<'_>) -> Result<Tensor> {\n\
+                         let count = buf.get_u32_le() as usize;\n\
+                         let mut data = Vec::with_capacity(count);\n\
+                         Ok(t)\n\
+                         }\n";
+        assert_eq!(kinds(unguarded), [EventKind::Alloc]);
+        let guarded = "fn read(buf: &mut Reader<'_>) -> Result<Tensor> {\n\
+                       let count = buf.get_u32_le() as usize;\n\
+                       let need = count.checked_mul(4).ok_or_else(|| bad())?;\n\
+                       if buf.remaining() < need { return Err(bad()); }\n\
+                       let mut data = Vec::with_capacity(count);\n\
+                       Ok(t)\n\
+                       }\n";
+        assert!(kinds(guarded).is_empty(), "{:?}", events_for(guarded));
     }
 
     #[test]

@@ -14,7 +14,6 @@
 
 use crate::error::{Result, TensorError};
 use crate::tensor::Tensor;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::Path;
@@ -26,33 +25,78 @@ const DICT_MAGIC: &[u8; 4] = b"CNSD";
 /// corrupted streams instead of attempting absurd allocations.
 const MAX_ELEMENTS: u64 = 1 << 28;
 
-/// Serializes a tensor into a byte buffer.
-pub fn tensor_to_bytes(t: &Tensor) -> Bytes {
-    let mut buf = BytesMut::with_capacity(8 + t.rank() * 8 + t.numel() * 4);
-    buf.put_slice(TENSOR_MAGIC);
-    buf.put_u32_le(t.rank() as u32);
-    for &d in t.dims() {
-        buf.put_u64_le(d as u64);
-    }
-    for &x in t.data() {
-        buf.put_f32_le(x);
-    }
-    buf.freeze()
+/// Little-endian cursor over untrusted bytes. Reads panic past the end,
+/// so every read is preceded by a [`remaining`](Self::remaining) check.
+struct Reader<'a> {
+    buf: &'a [u8],
 }
 
-/// Deserializes a tensor from a byte buffer, advancing it.
+impl<'a> Reader<'a> {
+    fn remaining(&self) -> usize {
+        self.buf.len()
+    }
+
+    fn take(&mut self, n: usize) -> &'a [u8] {
+        let (head, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        head
+    }
+
+    fn get_array<const N: usize>(&mut self) -> [u8; N] {
+        self.take(N).try_into().expect("take returns N bytes")
+    }
+
+    fn get_u32_le(&mut self) -> u32 {
+        u32::from_le_bytes(self.get_array())
+    }
+
+    fn get_u64_le(&mut self) -> u64 {
+        u64::from_le_bytes(self.get_array())
+    }
+
+    fn get_f32_le(&mut self) -> f32 {
+        f32::from_le_bytes(self.get_array())
+    }
+}
+
+/// Serializes a tensor into a byte buffer.
+pub fn tensor_to_bytes(t: &Tensor) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(8 + t.rank() * 8 + t.numel() * 4);
+    put_tensor(&mut buf, t);
+    buf
+}
+
+fn put_tensor(buf: &mut Vec<u8>, t: &Tensor) {
+    buf.extend_from_slice(TENSOR_MAGIC);
+    buf.extend_from_slice(&(t.rank() as u32).to_le_bytes());
+    for &d in t.dims() {
+        buf.extend_from_slice(&(d as u64).to_le_bytes());
+    }
+    for &x in t.data() {
+        buf.extend_from_slice(&x.to_le_bytes());
+    }
+}
+
+/// Deserializes a tensor from the front of `buf`, advancing it past the
+/// tensor.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::Malformed`] on bad magic, truncated data or
 /// implausible sizes.
-pub fn tensor_from_bytes(buf: &mut Bytes) -> Result<Tensor> {
+pub fn tensor_from_bytes(buf: &mut &[u8]) -> Result<Tensor> {
+    let mut reader = Reader { buf };
+    let t = read_tensor(&mut reader)?;
+    *buf = reader.buf;
+    Ok(t)
+}
+
+fn read_tensor(buf: &mut Reader<'_>) -> Result<Tensor> {
     if buf.remaining() < 8 {
         return Err(TensorError::Malformed("truncated header".into()));
     }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != TENSOR_MAGIC {
+    let magic = buf.take(4);
+    if magic != TENSOR_MAGIC {
         return Err(TensorError::Malformed(format!(
             "bad tensor magic {magic:?}"
         )));
@@ -93,16 +137,16 @@ pub fn tensor_from_bytes(buf: &mut Bytes) -> Result<Tensor> {
 }
 
 /// Serializes a named state dict (ordered) into a byte buffer.
-pub fn state_dict_to_bytes(entries: &[(String, Tensor)]) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_slice(DICT_MAGIC);
-    buf.put_u32_le(entries.len() as u32);
+pub fn state_dict_to_bytes(entries: &[(String, Tensor)]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(DICT_MAGIC);
+    buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
     for (name, t) in entries {
-        buf.put_u32_le(name.len() as u32);
-        buf.put_slice(name.as_bytes());
-        buf.put_slice(&tensor_to_bytes(t));
+        buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
+        buf.extend_from_slice(name.as_bytes());
+        put_tensor(&mut buf, t);
     }
-    buf.freeze()
+    buf
 }
 
 /// Deserializes a named state dict.
@@ -110,13 +154,13 @@ pub fn state_dict_to_bytes(entries: &[(String, Tensor)]) -> Bytes {
 /// # Errors
 ///
 /// Returns [`TensorError::Malformed`] on structural corruption.
-pub fn state_dict_from_bytes(mut buf: Bytes) -> Result<Vec<(String, Tensor)>> {
+pub fn state_dict_from_bytes(bytes: &[u8]) -> Result<Vec<(String, Tensor)>> {
+    let mut buf = Reader { buf: bytes };
     if buf.remaining() < 8 {
         return Err(TensorError::Malformed("truncated dict header".into()));
     }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != DICT_MAGIC {
+    let magic = buf.take(4);
+    if magic != DICT_MAGIC {
         return Err(TensorError::Malformed(format!("bad dict magic {magic:?}")));
     }
     let count = buf.get_u32_le() as usize;
@@ -134,11 +178,9 @@ pub fn state_dict_from_bytes(mut buf: Bytes) -> Result<Vec<(String, Tensor)>> {
         if buf.remaining() < name_len {
             return Err(TensorError::Malformed("truncated name".into()));
         }
-        let mut name_bytes = vec![0u8; name_len];
-        buf.copy_to_slice(&mut name_bytes);
-        let name = String::from_utf8(name_bytes)
+        let name = String::from_utf8(buf.take(name_len).to_vec())
             .map_err(|e| TensorError::Malformed(format!("invalid name utf8: {e}")))?;
-        let tensor = tensor_from_bytes(&mut buf)?;
+        let tensor = read_tensor(&mut buf)?;
         out.push((name, tensor));
     }
     Ok(out)
@@ -166,7 +208,7 @@ pub fn load_state_dict(path: impl AsRef<Path>) -> Result<Vec<(String, Tensor)>> 
     let mut f = File::open(path)?;
     let mut bytes = Vec::new();
     f.read_to_end(&mut bytes)?;
-    state_dict_from_bytes(Bytes::from(bytes))
+    state_dict_from_bytes(&bytes)
 }
 
 #[cfg(test)]
@@ -178,22 +220,23 @@ mod tests {
     fn tensor_roundtrip() {
         let mut rng = SeededRng::new(1);
         let t = rng.normal_tensor(&[3, 4, 5], 0.0, 1.0);
-        let mut buf = tensor_to_bytes(&t);
+        let bytes = tensor_to_bytes(&t);
+        let mut buf = bytes.as_slice();
         let back = tensor_from_bytes(&mut buf).unwrap();
         assert_eq!(back, t);
-        assert_eq!(buf.remaining(), 0);
+        assert!(buf.is_empty());
     }
 
     #[test]
     fn scalar_roundtrip() {
         let t = Tensor::scalar(-2.5);
-        let mut buf = tensor_to_bytes(&t);
-        assert_eq!(tensor_from_bytes(&mut buf).unwrap(), t);
+        let bytes = tensor_to_bytes(&t);
+        assert_eq!(tensor_from_bytes(&mut bytes.as_slice()).unwrap(), t);
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let mut buf = Bytes::from_static(b"XXXX\x01\x00\x00\x00");
+        let mut buf: &[u8] = b"XXXX\x01\x00\x00\x00";
         assert!(matches!(
             tensor_from_bytes(&mut buf),
             Err(TensorError::Malformed(_))
@@ -204,7 +247,7 @@ mod tests {
     fn truncated_data_rejected() {
         let t = Tensor::ones(&[10]);
         let full = tensor_to_bytes(&t);
-        let mut cut = full.slice(0..full.len() - 4);
+        let mut cut = &full[..full.len() - 4];
         assert!(matches!(
             tensor_from_bytes(&mut cut),
             Err(TensorError::Malformed(_))
@@ -216,13 +259,14 @@ mod tests {
         // A wire header claiming a huge dimension must die at the size
         // checks — `numel` saturates, the byte budget is checked_mul'd —
         // and never reach `Vec::with_capacity`.
-        let mut buf = BytesMut::new();
-        buf.put_slice(TENSOR_MAGIC);
-        buf.put_u32_le(2);
-        buf.put_u64_le(u64::MAX / 2);
-        buf.put_u64_le(3);
-        let mut bytes = buf.freeze();
-        let err = tensor_from_bytes(&mut bytes).unwrap_err();
+        let header = |d0: u64, d1: u64| {
+            let mut buf = TENSOR_MAGIC.to_vec();
+            buf.extend_from_slice(&2u32.to_le_bytes());
+            buf.extend_from_slice(&d0.to_le_bytes());
+            buf.extend_from_slice(&d1.to_le_bytes());
+            buf
+        };
+        let err = tensor_from_bytes(&mut header(u64::MAX / 2, 3).as_slice()).unwrap_err();
         assert!(
             err.to_string().contains("implausible element count"),
             "{err}"
@@ -231,14 +275,8 @@ mod tests {
         // Dims whose product wraps usize exactly (2^32 * 2^32 on 64-bit)
         // would pass a naive `count * 4` budget; the saturating numel cap
         // catches it first.
-        let mut buf = BytesMut::new();
-        buf.put_slice(TENSOR_MAGIC);
-        buf.put_u32_le(2);
-        buf.put_u64_le(1 << 32);
-        buf.put_u64_le(1 << 32);
-        let mut bytes = buf.freeze();
         assert!(matches!(
-            tensor_from_bytes(&mut bytes),
+            tensor_from_bytes(&mut header(1 << 32, 1 << 32).as_slice()),
             Err(TensorError::Malformed(_))
         ));
     }
@@ -257,7 +295,7 @@ mod tests {
                 rng.normal_tensor(&[10, 84], 0.0, 1.0),
             ),
         ];
-        let back = state_dict_from_bytes(state_dict_to_bytes(&entries)).unwrap();
+        let back = state_dict_from_bytes(&state_dict_to_bytes(&entries)).unwrap();
         assert_eq!(back.len(), 3);
         for ((n1, t1), (n2, t2)) in entries.iter().zip(back.iter()) {
             assert_eq!(n1, n2);
@@ -285,7 +323,32 @@ mod tests {
 
     #[test]
     fn empty_dict_roundtrip() {
-        let back = state_dict_from_bytes(state_dict_to_bytes(&[])).unwrap();
+        let back = state_dict_from_bytes(&state_dict_to_bytes(&[])).unwrap();
         assert!(back.is_empty());
+    }
+
+    /// The on-disk format is fixed: these bytes were written by the
+    /// original serializer, so `.cnm` files saved by older builds load.
+    #[test]
+    fn format_is_pinned() {
+        let t = Tensor::from_vec(vec![1.5, -2.0, 0.0, 3.25, -0.0, 7.0], &[2, 3]);
+        let tensor_bytes: &[u8] = &[
+            67, 78, 84, 49, 2, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 192,
+            63, 0, 0, 0, 192, 0, 0, 0, 0, 0, 0, 80, 64, 0, 0, 0, 128, 0, 0, 224, 64,
+        ];
+        assert_eq!(tensor_to_bytes(&t), tensor_bytes);
+        assert_eq!(tensor_from_bytes(&mut &tensor_bytes[..]).unwrap(), t);
+
+        let dict = vec![
+            ("w".to_string(), Tensor::from_vec(vec![0.5, -1.0], &[2])),
+            ("b".to_string(), Tensor::scalar(2.0)),
+        ];
+        let dict_bytes: &[u8] = &[
+            67, 78, 83, 68, 2, 0, 0, 0, 1, 0, 0, 0, 119, 67, 78, 84, 49, 1, 0, 0, 0, 2, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 63, 0, 0, 128, 191, 1, 0, 0, 0, 98, 67, 78, 84, 49, 0, 0, 0, 0, 0, 0,
+            0, 64,
+        ];
+        assert_eq!(state_dict_to_bytes(&dict), dict_bytes);
+        assert_eq!(state_dict_from_bytes(dict_bytes).unwrap(), dict);
     }
 }

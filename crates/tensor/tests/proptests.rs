@@ -128,8 +128,8 @@ proptest! {
     fn io_roundtrip(dims in proptest::collection::vec(1usize..6, 1..4), seed in 0u64..500) {
         let mut rng = SeededRng::new(seed);
         let t = rng.normal_tensor(&dims, 0.0, 10.0);
-        let mut buf = cn_tensor::io::tensor_to_bytes(&t);
-        let back = cn_tensor::io::tensor_from_bytes(&mut buf).unwrap();
+        let buf = cn_tensor::io::tensor_to_bytes(&t);
+        let back = cn_tensor::io::tensor_from_bytes(&mut buf.as_slice()).unwrap();
         prop_assert_eq!(back, t);
     }
 

@@ -9,8 +9,7 @@
 
 use cn_analog::cell::CellSpec;
 use cn_analog::deployment::DeploymentMode;
-use cn_analog::engine::{monte_carlo, AnalogBackend};
-use cn_analog::montecarlo::McConfig;
+use cn_analog::engine::{monte_carlo, AnalogBackend, McConfig};
 use cn_analog::{Crossbar, TiledCrossbar};
 use cn_data::synthetic_mnist;
 use cn_nn::optim::Adam;

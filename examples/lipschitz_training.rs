@@ -5,8 +5,7 @@
 //! cargo run --release --example lipschitz_training
 //! ```
 
-use cn_analog::engine::{monte_carlo, AnalogBackend};
-use cn_analog::montecarlo::McConfig;
+use cn_analog::engine::{monte_carlo, AnalogBackend, McConfig};
 use cn_data::synthetic_mnist;
 use cn_nn::metrics::evaluate;
 use cn_nn::zoo::{lenet5, LeNetConfig};

@@ -26,9 +26,8 @@ pub mod prelude {
     pub use cn_analog::drift::ConductanceDrift;
     pub use cn_analog::engine::{
         monte_carlo, AnalogBackend, Backend, CompiledModel, DigitalBackend, DriftBackend,
-        EngineBuilder, Session, TiledBackend,
+        EngineBuilder, McConfig, McResult, Session,
     };
-    pub use cn_analog::montecarlo::{McConfig, McResult};
     pub use cn_analog::DeploymentMode;
     pub use cn_data::{synthetic_cifar10, synthetic_cifar100, synthetic_mnist, BatchIter, Dataset};
     pub use cn_nn::loss::softmax_cross_entropy;

@@ -60,9 +60,10 @@ fn tiled_backend_ideal_cells_match_digital_closely() {
         .compile()
         .infer(&data.test.images);
     let tiled = EngineBuilder::new(&model)
-        .backend(TiledBackend::new(cn_analog::mapping::MappingConfig::new(
-            cn_analog::CellSpec::ideal(1.0, 100.0),
-        )))
+        .backend(AnalogBackend::new(DeploymentMode::Conductance {
+            spec: cn_analog::CellSpec::ideal(1.0, 100.0),
+            tile_size: 128,
+        }))
         .seed(9)
         .compile();
     let got = tiled.infer(&data.test.images);

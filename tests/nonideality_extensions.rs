@@ -3,9 +3,8 @@
 
 use cn_analog::deployment::DeploymentMode;
 use cn_analog::drift::ConductanceDrift;
-use cn_analog::engine::{monte_carlo, AnalogBackend};
+use cn_analog::engine::{monte_carlo, AnalogBackend, McConfig};
 use cn_analog::irdrop::IrDrop;
-use cn_analog::montecarlo::McConfig;
 use cn_data::synthetic_mnist;
 use cn_nn::optim::Adam;
 use cn_nn::trainer::{TrainConfig, Trainer};
@@ -95,7 +94,6 @@ fn mild_irdrop_is_survivable_severe_is_not_free() {
 fn compensation_also_recovers_drift_losses() {
     // CorrectNet's machinery is noise-model agnostic: train compensators
     // against the drift+variation deployment and accuracy improves.
-    use cn_analog::montecarlo::McConfig;
     use correctnet::compensation::{
         apply_compensation, train_compensators, train_compensators_mode, CompensationPlan,
         CompensationTrainConfig,
