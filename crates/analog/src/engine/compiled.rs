@@ -26,10 +26,10 @@ pub struct CompiledModel {
 }
 
 impl CompiledModel {
-    /// Compiles one deployment instance: clones `model`, clears any
-    /// previously installed variation state, applies the backend's mask
-    /// plan, optionally bakes it into the weights, and runs the backend's
-    /// finalize hook.
+    /// Compiles one deployment instance: clones `model`, installs the
+    /// backend's mask plan with [`Sequential::install_noise`] (which clears
+    /// any mask the plan leaves out), optionally bakes it into the
+    /// weights, and runs the backend's finalize hook.
     ///
     /// The pristine `model` is retained (shared) as the nominal source so
     /// the instance can later be [`recompile`](CompiledModel::recompile)d
@@ -60,24 +60,8 @@ impl CompiledModel {
         rng: &mut SeededRng,
     ) -> Self {
         let nominal: &Sequential = model;
-        let plan = backend.mask_plan(nominal, rng);
-        let noisy = nominal.noisy_layers();
-        assert_eq!(
-            plan.len(),
-            noisy.len(),
-            "backend {} planned {} masks for {} analog layers",
-            backend.name(),
-            plan.len(),
-            noisy.len()
-        );
         let mut instance = nominal.clone();
-        instance.clear_noise();
-        for ((layer_index, dims), mask) in noisy.into_iter().zip(plan) {
-            if let Some(mask) = mask {
-                assert_eq!(mask.dims(), &dims[..], "mask shape mismatch");
-                instance.layer_mut(layer_index).set_noise(Some(mask));
-            }
-        }
+        instance.install_noise(backend.mask_plan(nominal, rng));
         if backend.bake() {
             instance.bake_noise();
         }
@@ -199,7 +183,7 @@ impl<'m> EngineBuilder<'m> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{AnalogBackend, DigitalBackend};
+    use super::super::{AnalogBackend, DigitalBackend, MaskPlan};
     use super::*;
     use cn_nn::zoo::mlp;
 
@@ -281,5 +265,24 @@ mod tests {
         assert_eq!(compiled.infer(&x), cleared.infer(&x));
         // …and the deployment really did perturb the weights.
         assert_ne!(compiled.infer(&x), model.clone().forward(&x, false));
+    }
+
+    /// A custom backend whose plan skips a layer is rejected at compile
+    /// time instead of deploying a partly exact model.
+    #[test]
+    #[should_panic(expected = "mask plan has 1 entries for 2 analog layers")]
+    fn compile_rejects_a_short_mask_plan() {
+        struct Short;
+        impl Backend for Short {
+            fn name(&self) -> String {
+                "short".to_string()
+            }
+            fn mask_plan(&self, _model: &Sequential, _rng: &mut SeededRng) -> MaskPlan {
+                vec![None]
+            }
+        }
+        EngineBuilder::new(&mlp(&[4, 8, 3], 15))
+            .backend(Short)
+            .compile();
     }
 }

@@ -198,8 +198,7 @@ mod tests {
     #[test]
     fn zero_sigma_reproduces_clean_accuracy() {
         let (model, data) = trained_lenet();
-        let mut clean_model = model.clone();
-        let clean = evaluate(&mut clean_model, &data.test, 32);
+        let clean = evaluate(&model, &data.test, 32);
         let res = mc_lognormal(&model, &data.test, &McConfig::new(3, 0.0, 1));
         assert!((res.mean - clean).abs() < 1e-6);
         assert!(res.std < 1e-5);

@@ -54,3 +54,28 @@ pub use backend::{AnalogBackend, Backend, DigitalBackend, DriftBackend, MaskPlan
 pub use compiled::{CompiledModel, EngineBuilder};
 pub use mc::{monte_carlo, McConfig, McResult};
 pub use session::Session;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cn_data::synthetic_mnist;
+    use cn_nn::zoo::{lenet5, LeNetConfig};
+
+    /// At σ = 0 every log-normal factor is exactly `e^0 = 1`, so an
+    /// analog deployment's logits equal the digital reference bit for bit.
+    #[test]
+    fn sessions_under_sigma_zero_match_digital() {
+        let model = lenet5(&LeNetConfig::mnist(3));
+        let data = synthetic_mnist(8, 8, 5);
+        let analog = EngineBuilder::new(&model)
+            .backend(AnalogBackend::lognormal(0.0))
+            .seed(4)
+            .compile();
+        let mut analog = Session::new(analog.shared());
+        let mut digital = Session::new(EngineBuilder::new(&model).compile().shared());
+        assert_eq!(
+            analog.logits_batch(&data.test.images),
+            digital.logits_batch(&data.test.images)
+        );
+    }
+}

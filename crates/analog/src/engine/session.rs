@@ -200,7 +200,7 @@ mod tests {
         let model = lenet5(&LeNetConfig::mnist(7));
         let mut session = Session::new(EngineBuilder::new(&model).compile().shared());
         let acc = session.evaluate(&data.test, 8);
-        let reference = cn_nn::metrics::evaluate(&mut model.clone(), &data.test, 8);
+        let reference = cn_nn::metrics::evaluate(&model, &data.test, 8);
         assert_eq!(acc, reference);
     }
 
@@ -220,8 +220,7 @@ mod tests {
             session.rebind(compiled.clone().shared());
             for bs in [1, 7, 25, 64] {
                 let acc = session.evaluate(&data.test, bs);
-                let reference =
-                    cn_nn::metrics::evaluate(&mut compiled.model().clone(), &data.test, bs);
+                let reference = cn_nn::metrics::evaluate(compiled.model(), &data.test, bs);
                 assert_eq!(acc, reference, "batch size {bs}");
             }
         }

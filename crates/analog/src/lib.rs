@@ -8,13 +8,18 @@
 //!
 //! - **Weight-level** variation (the model the paper evaluates with,
 //!   eq. 1–2): every weight is multiplied by an independent log-normal
-//!   factor `e^θ`. See [`variation`] and [`deployment`].
+//!   factor `e^θ`.
 //! - **Conductance-level** simulation: weights are mapped onto differential
 //!   RRAM conductance pairs ([`mapping`]) in (tiled) crossbars
 //!   ([`crossbar`], [`tiled`]) with programming variation, read noise,
 //!   conductance quantization ([`cell`]), stuck-at faults ([`faults`]) and
 //!   DAC/ADC quantization ([`converters`]). The ideal limit reproduces the
 //!   weight-level model.
+//!
+//! [`DeploymentMode::mask_plan`] is the one routine that draws a
+//! deployment, at either level and with the stuck-at, drift and IR-drop
+//! variants, as one multiplicative mask per analog layer;
+//! [`cn_nn::Sequential::install_noise`] installs such a plan.
 //!
 //! The [`engine`] layer turns all of this into a compile/execute split:
 //! a [`Backend`] samples one deployment of a trained
@@ -53,7 +58,6 @@ pub mod faults;
 pub mod irdrop;
 pub mod mapping;
 pub mod tiled;
-pub mod variation;
 
 /// The Monte-Carlo protocol's configuration and result types under their
 /// original path; they live in [`engine`].
@@ -69,4 +73,3 @@ pub use engine::{
     McResult, Session,
 };
 pub use tiled::TiledCrossbar;
-pub use variation::VariationModel;

@@ -3,8 +3,9 @@
 use cn_analog::cell::CellSpec;
 use cn_analog::converters::{Adc, Dac};
 use cn_analog::crossbar::Crossbar;
+use cn_analog::deployment::DeploymentMode;
 use cn_analog::tiled::TiledCrossbar;
-use cn_analog::variation::{LognormalWeight, VariationModel};
+use cn_nn::zoo::mlp;
 use cn_tensor::SeededRng;
 use proptest::prelude::*;
 
@@ -80,14 +81,15 @@ proptest! {
         prop_assert!((adc.quantize(v) - clamped).abs() <= step / 2.0 + 1e-6);
     }
 
-    /// Log-normal variation masks are positive and have the theoretical
-    /// mean within tolerance.
+    /// Log-normal deployment masks are positive and have the theoretical
+    /// mean `e^{σ²/2}` within tolerance.
     #[test]
     fn lognormal_mask_statistics(sigma in 0.05f32..0.7, seed in 0u64..200) {
-        let model = LognormalWeight::new(sigma);
+        let model = mlp(&[32, 32], 1);
         let mut rng = SeededRng::new(seed);
-        let mask = model.sample_mask(&[32, 32], &mut rng);
+        let plan = DeploymentMode::WeightLognormal { sigma }.mask_plan(&model, 0, &mut rng);
+        let mask = plan[0].as_ref().expect("start = 0 plans every layer");
         prop_assert!(mask.data().iter().all(|&m| m > 0.0));
-        prop_assert!((mask.mean() - model.factor_mean()).abs() < 0.25);
+        prop_assert!((mask.mean() - (sigma * sigma / 2.0).exp()).abs() < 0.25);
     }
 }

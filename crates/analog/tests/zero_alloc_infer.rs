@@ -80,6 +80,6 @@ fn steady_state_infer_batch_allocates_nothing() {
     let acc = session.evaluate(&data.test, 32);
     let after = CountingHeap::thread_allocs();
     assert_eq!(after - before, 0, "a repeated evaluate heap-allocated");
-    let reference = cn_nn::metrics::evaluate(&mut b.model().clone(), &data.test, 32);
+    let reference = cn_nn::metrics::evaluate(b.model(), &data.test, 32);
     assert_eq!(acc, reference);
 }

@@ -112,8 +112,8 @@ mod tests {
         train_noise_aware(&mut model, &data.train, &NoiseAwareConfig::new(0.5, 1, 107));
         // Two consecutive clean evaluations must agree exactly.
         use cn_nn::metrics::evaluate;
-        let a = evaluate(&mut model, &data.test, 10);
-        let b = evaluate(&mut model, &data.test, 10);
+        let a = evaluate(&model, &data.test, 10);
+        let b = evaluate(&model, &data.test, 10);
         assert_eq!(a, b);
     }
 }

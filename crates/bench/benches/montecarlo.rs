@@ -4,7 +4,6 @@
 use cn_analog::deployment::DeploymentMode;
 use cn_analog::engine::{monte_carlo, AnalogBackend, McConfig};
 use cn_data::synthetic_mnist;
-use cn_nn::noise::sample_masks;
 use cn_nn::zoo::{lenet5, LeNetConfig};
 use cn_tensor::SeededRng;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -14,8 +13,9 @@ fn bench_mask_sampling(c: &mut Criterion) {
     let model = lenet5(&LeNetConfig::mnist(1));
     let mut group = c.benchmark_group("variation_sampling");
     group.bench_function("lenet_weight_lognormal", |b| {
+        let mode = DeploymentMode::WeightLognormal { sigma: 0.5 };
         let mut rng = SeededRng::new(2);
-        b.iter(|| black_box(sample_masks(&model, 0.5, &mut rng)));
+        b.iter(|| black_box(mode.mask_plan(&model, 0, &mut rng)));
     });
     group.bench_function("lenet_conductance_masks", |b| {
         let mode = DeploymentMode::Conductance {
@@ -23,7 +23,7 @@ fn bench_mask_sampling(c: &mut Criterion) {
             tile_size: 128,
         };
         let mut rng = SeededRng::new(3);
-        b.iter(|| black_box(mode.sample_masks(&model, &mut rng)));
+        b.iter(|| black_box(mode.mask_plan(&model, 0, &mut rng)));
     });
     group.finish();
 }

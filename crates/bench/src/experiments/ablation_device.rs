@@ -13,10 +13,9 @@ use crate::report::{ExperimentReport, Series, SeriesPoint};
 use cn_analog::cell::CellSpec;
 use cn_analog::deployment::DeploymentMode;
 use cn_analog::drift::ConductanceDrift;
-use cn_analog::engine::McConfig;
+use cn_analog::engine::{monte_carlo, AnalogBackend, McConfig};
 use cn_analog::faults::StuckFaults;
 use cn_analog::irdrop::IrDrop;
-use correctnet::engine::{monte_carlo, AnalogBackend};
 use correctnet::report::pct_pm;
 
 /// Device-model ablation regenerator.

@@ -5,11 +5,10 @@
 use super::{Ctx, Experiment};
 use crate::profile::{pipeline_config, Pair};
 use crate::report::ExperimentReport;
-use cn_analog::engine::McConfig;
+use cn_analog::engine::{monte_carlo, AnalogBackend, McConfig};
 use cn_nn::metrics::evaluate;
 use cn_nn::optim::Adam;
 use cn_nn::trainer::{TrainConfig, Trainer};
-use correctnet::engine::{monte_carlo, AnalogBackend};
 use correctnet::lipschitz::{lambda_for, spectral_norms, LipschitzRegularizer};
 use correctnet::report::pct;
 
@@ -75,7 +74,7 @@ impl Experiment for AblationLipschitz {
                     .with_regularizer(move |m| reg.apply(m))
                     .fit(&mut model, &data.train, &mut Adam::new(cfg.base_lr / 2.0));
             }
-            let clean = evaluate(&mut model.clone(), &data.test, 64);
+            let clean = evaluate(&model, &data.test, 64);
             let noisy = monte_carlo(&model, &data.test, &mc, &AnalogBackend::lognormal(mc.sigma));
             let max_norm = spectral_norms(&model)
                 .iter()

@@ -5,8 +5,7 @@
 use super::{Ctx, Experiment};
 use crate::profile::Pair;
 use crate::report::{ExperimentReport, Series, SeriesPoint};
-use cn_analog::engine::McConfig;
-use correctnet::engine::{monte_carlo, AnalogBackend};
+use cn_analog::engine::{monte_carlo, AnalogBackend, McConfig};
 use correctnet::report::{pct, pct_pm};
 
 /// Fig. 2 regenerator.

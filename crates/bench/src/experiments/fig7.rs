@@ -5,9 +5,8 @@
 use super::{candidate_prefix, Ctx, Experiment};
 use crate::profile::{pipeline_config, Pair};
 use crate::report::{ExperimentReport, Series, SeriesPoint};
-use cn_analog::engine::McConfig;
+use cn_analog::engine::{monte_carlo, AnalogBackend, McConfig};
 use correctnet::compensation::weight_overhead;
-use correctnet::engine::{monte_carlo, AnalogBackend};
 use correctnet::pipeline::CorrectNetStages;
 use correctnet::report::pct_pm;
 

@@ -49,7 +49,7 @@ impl Experiment for Table1 {
 
             // Original (plain) network: σ=0 and σ=0.5 columns.
             let (plain, data) = ctx.plain_base(pair);
-            let clean = evaluate(&mut plain.clone(), &data.test, 64);
+            let clean = evaluate(&plain, &data.test, 64);
             let noisy = stages.evaluate(&plain, &data.test);
 
             // CorrectNet: Lipschitz base + RL-placed compensation.

@@ -114,16 +114,16 @@ fn cache_hit_reproduces_identical_accuracies() {
     let data = synthetic_mnist(60, 30, 21);
 
     // First experiment of the sweep: trains and saves.
-    let mut first = cache.get_or_train(&tiny_key(), build, train);
-    let acc_first = evaluate(&mut first, &data.test, 16);
+    let first = cache.get_or_train(&tiny_key(), build, train);
+    let acc_first = evaluate(&first, &data.test, 16);
     assert_eq!(cache.stats().trained, 1);
     assert_eq!(cache.stats().hits, 0);
 
     // Second experiment sharing the architecture: must hit, not retrain.
-    let mut second = cache.get_or_train(&tiny_key(), build, |_| {
+    let second = cache.get_or_train(&tiny_key(), build, |_| {
         panic!("cache hit must not retrain");
     });
-    let acc_second = evaluate(&mut second, &data.test, 16);
+    let acc_second = evaluate(&second, &data.test, 16);
     assert_eq!(
         cache.stats().trained,
         1,
@@ -138,10 +138,10 @@ fn cache_hit_reproduces_identical_accuracies() {
     // A fresh cache instance on the same directory (a new process in a
     // sweep) also hits.
     let reopened = ModelCache::new(cache.dir());
-    let mut third = reopened.get_or_train(&tiny_key(), build, |_| {
+    let third = reopened.get_or_train(&tiny_key(), build, |_| {
         panic!("persisted entry must satisfy a new cache instance");
     });
-    assert_eq!(evaluate(&mut third, &data.test, 16), acc_first);
+    assert_eq!(evaluate(&third, &data.test, 16), acc_first);
     assert_eq!(reopened.stats().hits, 1);
 }
 

@@ -8,10 +8,10 @@
 //!
 //! The same sweep produces the data behind the paper's Fig. 9.
 
-use crate::engine::{monte_carlo, AnalogBackend, DigitalBackend, EngineBuilder, Session};
-use cn_analog::engine::McConfig;
+use cn_analog::engine::{
+    monte_carlo, AnalogBackend, DigitalBackend, EngineBuilder, McConfig, Session,
+};
 use cn_data::Dataset;
-use cn_nn::noise::num_weight_layers;
 use cn_nn::Sequential;
 
 /// One point of the suffix-variation sweep: variations on weight layers
@@ -65,7 +65,7 @@ pub fn select_candidates(
         threshold > 0.0 && threshold <= 1.0,
         "threshold must be in (0, 1]"
     );
-    let num_layers = num_weight_layers(model);
+    let num_layers = model.noisy_layers().len();
     // Exact digital deployment for the variation-free reference accuracy.
     let clean_accuracy = Session::new(
         EngineBuilder::new(model)

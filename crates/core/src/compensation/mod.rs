@@ -16,9 +16,7 @@ pub mod layer;
 pub mod train;
 
 pub use layer::Compensated;
-pub use train::{
-    train_compensators, train_compensators_mode, train_compensators_with, CompensationTrainConfig,
-};
+pub use train::{train_compensators, train_compensators_mode, CompensationTrainConfig};
 
 use cn_nn::Sequential;
 

@@ -10,7 +10,6 @@
 use super::freeze_all_but_compensation;
 use cn_analog::deployment::DeploymentMode;
 use cn_data::Dataset;
-use cn_nn::noise::apply_lognormal;
 use cn_nn::optim::Adam;
 use cn_nn::trainer::{EpochStats, TrainConfig, Trainer};
 use cn_nn::Sequential;
@@ -49,50 +48,43 @@ impl CompensationTrainConfig {
 /// Freezes everything except compensation parameters, resamples log-normal
 /// variation masks on the analog base layers before every batch, and runs
 /// the task loss. Masks are cleared afterwards. Returns per-epoch stats.
+///
+/// This is [`train_compensators_mode`] under the paper's
+/// [`DeploymentMode::WeightLognormal`] model at `cfg.sigma`.
 pub fn train_compensators(
     model: &mut Sequential,
     data: &Dataset,
     cfg: &CompensationTrainConfig,
 ) -> Vec<EpochStats> {
-    let sigma = cfg.sigma;
-    train_compensators_with(model, data, cfg, move |m, rng| {
-        apply_lognormal(m, sigma, rng)
-    })
+    let mode = DeploymentMode::WeightLognormal { sigma: cfg.sigma };
+    train_compensators_mode(model, data, cfg, &mode)
 }
 
-/// Trains compensators against an arbitrary [`DeploymentMode`] instead of
-/// the paper's log-normal model: before every batch one deployment
-/// instance of `mode` is sampled onto the analog base layers.
+/// Trains compensators against an arbitrary [`DeploymentMode`]: before
+/// every batch one deployment of `mode` is drawn with
+/// [`DeploymentMode::mask_plan`] and installed on the analog base layers.
 ///
 /// Use this when the target hardware exhibits non-idealities beyond
 /// programming-time variation (conductance drift, IR drop, …) — the
 /// compensation machinery is noise-model agnostic, but the compensators
-/// must be trained against the distribution they will face.
+/// must be trained against the distribution they will face. `cfg.sigma`
+/// is unused here; `mode` carries the variation level.
 pub fn train_compensators_mode(
     model: &mut Sequential,
     data: &Dataset,
     cfg: &CompensationTrainConfig,
     mode: &DeploymentMode,
 ) -> Vec<EpochStats> {
-    let mode = mode.clone();
-    train_compensators_with(model, data, cfg, move |m, rng| mode.deploy(m, rng))
-}
-
-/// Shared compensator-training driver: `sample` installs one variation
-/// instance on the model's analog layers before each batch.
-pub fn train_compensators_with(
-    model: &mut Sequential,
-    data: &Dataset,
-    cfg: &CompensationTrainConfig,
-    mut sample: impl FnMut(&mut Sequential, &mut SeededRng) + 'static,
-) -> Vec<EpochStats> {
     freeze_all_but_compensation(model);
+    let mode = mode.clone();
     let mut noise_rng = SeededRng::new(cfg.seed ^ 0x5a5a);
     let mut train_cfg = TrainConfig::new(cfg.epochs, cfg.batch_size, cfg.seed);
     // Keep the frozen base bit-identical (no dropout, no BN-stat updates).
     train_cfg.train_mode = false;
-    let mut trainer =
-        Trainer::new(train_cfg).with_before_batch(move |m, _| sample(m, &mut noise_rng));
+    let mut trainer = Trainer::new(train_cfg).with_before_batch(move |m, _| {
+        let plan = mode.mask_plan(m, 0, &mut noise_rng);
+        m.install_noise(plan);
+    });
     let mut opt = Adam::new(cfg.lr);
     let stats = trainer.fit(model, data, &mut opt);
     model.clear_noise();
@@ -105,8 +97,7 @@ pub fn train_compensators_with(
 mod tests {
     use super::*;
     use crate::compensation::{apply_compensation, CompensationPlan};
-    use crate::engine::{monte_carlo, AnalogBackend};
-    use cn_analog::engine::McConfig;
+    use cn_analog::engine::{monte_carlo, AnalogBackend, McConfig};
     use cn_data::synthetic_mnist;
     use cn_nn::optim::Adam;
     use cn_nn::zoo::{lenet5, LeNetConfig};
@@ -204,5 +195,21 @@ mod tests {
             before.iter().zip(after.iter()).any(|(a, b)| a != b),
             "compensation weights never moved"
         );
+    }
+
+    /// `train_compensators` is `train_compensators_mode` under
+    /// `WeightLognormal { σ }`: same mask stream, same trained weights.
+    #[test]
+    fn lognormal_mode_matches_train_compensators() {
+        let data = synthetic_mnist(48, 8, 61);
+        let base = lenet5(&LeNetConfig::mnist(62));
+        let plan = CompensationPlan::uniform(&[0, 1], 0.5);
+        let cfg = CompensationTrainConfig::new(0.5, 1, 63);
+        let mut a = apply_compensation(&base, &plan, 64);
+        let mut b = a.clone();
+        train_compensators(&mut a, &data.train, &cfg);
+        let mode = DeploymentMode::WeightLognormal { sigma: cfg.sigma };
+        train_compensators_mode(&mut b, &data.train, &cfg, &mode);
+        assert_eq!(a.state_dict(), b.state_dict());
     }
 }

@@ -1,9 +1,5 @@
 //! Machine-readable export of experiment artifacts.
 //!
-//! Three layers, from smallest to largest:
-//!
-//! - CSV helpers (this module): flat tables for plotting the figures
-//!   externally (e.g. with matplotlib or gnuplot).
 //! - [`json`]: a dependency-free JSON value type with a renderer and a
 //!   strict parser — the substrate of the `cn-experiments` report files.
 //! - [`model`]: a self-describing container for trained models (JSON
@@ -12,154 +8,3 @@
 
 pub mod json;
 pub mod model;
-
-use crate::report::{SigmaPoint, Table1Row, TradeoffPoint};
-
-fn escape(field: &str) -> String {
-    if field.contains(',') || field.contains('"') || field.contains('\n') {
-        format!("\"{}\"", field.replace('"', "\"\""))
-    } else {
-        field.to_string()
-    }
-}
-
-/// Renders rows of string fields as CSV with a header.
-///
-/// # Panics
-///
-/// Panics if any row's arity differs from the header's.
-pub fn to_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
-    let mut out = headers
-        .iter()
-        .map(|h| escape(h))
-        .collect::<Vec<_>>()
-        .join(",");
-    out.push('\n');
-    for row in rows {
-        assert_eq!(row.len(), headers.len(), "row arity mismatch");
-        out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
-        out.push('\n');
-    }
-    out
-}
-
-/// CSV for an accuracy-vs-σ sweep (Figs. 2 and 7).
-pub fn sigma_sweep_csv(points: &[SigmaPoint]) -> String {
-    to_csv(
-        &["sigma", "mean", "std"],
-        &points
-            .iter()
-            .map(|p| {
-                vec![
-                    format!("{}", p.sigma),
-                    format!("{}", p.mean),
-                    format!("{}", p.std),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    )
-}
-
-/// CSV for accuracy-vs-overhead trade-offs (Figs. 8 and 10).
-pub fn tradeoff_csv(points: &[TradeoffPoint]) -> String {
-    to_csv(
-        &["label", "overhead", "mean", "std"],
-        &points
-            .iter()
-            .map(|p| {
-                vec![
-                    p.label.clone(),
-                    format!("{}", p.overhead),
-                    format!("{}", p.mean),
-                    format!("{}", p.std),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    )
-}
-
-/// CSV for Table-I-style summaries.
-pub fn table1_csv(rows: &[Table1Row]) -> String {
-    to_csv(
-        &[
-            "pair",
-            "acc_clean",
-            "acc_noisy",
-            "acc_correctnet",
-            "overhead",
-            "comp_layers",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.pair.clone(),
-                    format!("{}", r.acc_clean),
-                    format!("{}", r.acc_noisy),
-                    format!("{}", r.acc_correctnet),
-                    format!("{}", r.overhead),
-                    format!("{}", r.comp_layers),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn csv_escaping() {
-        let s = to_csv(&["a", "b"], &[vec!["plain".into(), "has,comma".into()]]);
-        assert_eq!(s, "a,b\nplain,\"has,comma\"\n");
-        let q = to_csv(&["x"], &[vec!["say \"hi\"".into()]]);
-        assert!(q.contains("\"say \"\"hi\"\"\""));
-    }
-
-    #[test]
-    fn sigma_sweep_roundtrip_shape() {
-        let pts = vec![
-            SigmaPoint {
-                sigma: 0.0,
-                mean: 0.99,
-                std: 0.0,
-            },
-            SigmaPoint {
-                sigma: 0.5,
-                mean: 0.42,
-                std: 0.1,
-            },
-        ];
-        let csv = sigma_sweep_csv(&pts);
-        assert_eq!(csv.lines().count(), 3);
-        assert!(csv.starts_with("sigma,mean,std\n"));
-        assert!(csv.contains("0.5,0.42,0.1"));
-    }
-
-    #[test]
-    fn tradeoff_and_table_csv() {
-        let t = tradeoff_csv(&[TradeoffPoint {
-            label: "CorrectNet".into(),
-            overhead: 0.01,
-            mean: 0.67,
-            std: 0.008,
-        }]);
-        assert!(t.contains("CorrectNet,0.01,0.67,0.008"));
-        let tb = table1_csv(&[Table1Row {
-            pair: "LeNet-5-MNIST".into(),
-            acc_clean: 0.99,
-            acc_noisy: 0.85,
-            acc_correctnet: 0.97,
-            overhead: 0.05,
-            comp_layers: 2,
-        }]);
-        assert!(tb.contains("LeNet-5-MNIST,0.99,0.85,0.97,0.05,2"));
-    }
-
-    #[test]
-    #[should_panic(expected = "arity")]
-    fn bad_arity_panics() {
-        to_csv(&["a", "b"], &[vec!["only".into()]]);
-    }
-}

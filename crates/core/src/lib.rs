@@ -16,11 +16,8 @@
 //!   suffix-variation Monte-Carlo sweeps (Sec. III-B / Fig. 9).
 //! - [`pipeline`] — composable stages: Lipschitz base training, candidate
 //!   selection, compensated-model construction/training and Monte-Carlo
-//!   evaluation. (The RL placement search lives in `cn-rl`, which builds on
-//!   these stages.)
-//! - [`engine`] — the compile/execute inference engine the evaluation
-//!   stages run on: backends sample a deployment, compiled snapshots are
-//!   shared across sessions, sessions own the batched-inference scratch.
+//!   evaluation on the `cn_analog::engine` compile/execute engine. (The RL
+//!   placement search lives in `cn-rl`, which builds on these stages.)
 //!
 //! # Example
 //!
@@ -36,7 +33,6 @@
 
 pub mod candidates;
 pub mod compensation;
-pub mod engine;
 pub mod export;
 pub mod lipschitz;
 pub mod pipeline;
@@ -44,6 +40,5 @@ pub mod report;
 
 pub use candidates::{select_candidates, CandidateReport};
 pub use compensation::{apply_compensation, CompensationPlan};
-pub use engine::{CompiledModel, EngineBuilder, Session};
 pub use lipschitz::{lambda_for, LipschitzRegularizer};
 pub use pipeline::{CorrectNetConfig, CorrectNetStages};

@@ -17,9 +17,8 @@ use crate::compensation::{
     apply_compensation, train_compensators, weight_overhead, CompensationPlan,
     CompensationTrainConfig,
 };
-use crate::engine::{deployment_backend, monte_carlo, Backend};
 use crate::lipschitz::LipschitzRegularizer;
-use cn_analog::engine::{McConfig, McResult};
+use cn_analog::engine::{monte_carlo, AnalogBackend, Backend, McConfig, McResult};
 use cn_data::Dataset;
 use cn_nn::optim::Adam;
 use cn_nn::trainer::{EpochStats, TrainConfig, Trainer};
@@ -173,7 +172,7 @@ impl CorrectNetStages {
     /// Stage 5: Monte-Carlo accuracy of a model under the configured σ,
     /// through the engine (compiled deployment instances + sessions).
     pub fn evaluate(&self, model: &Sequential, test: &Dataset) -> McResult {
-        self.evaluate_backend(model, test, &deployment_backend(&self.config))
+        self.evaluate_backend(model, test, &AnalogBackend::lognormal(self.config.sigma))
     }
 
     /// Stage 5 on an arbitrary deployment [`Backend`] (device-level

@@ -33,30 +33,6 @@ impl Table1Row {
     }
 }
 
-/// One point of an accuracy-vs-σ sweep (Figs. 2 and 7).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SigmaPoint {
-    /// Variation level.
-    pub sigma: f32,
-    /// Mean accuracy.
-    pub mean: f32,
-    /// Accuracy standard deviation.
-    pub std: f32,
-}
-
-/// One point of an accuracy-vs-overhead trade-off (Figs. 8 and 10).
-#[derive(Debug, Clone)]
-pub struct TradeoffPoint {
-    /// Method or plan label.
-    pub label: String,
-    /// Weight overhead.
-    pub overhead: f32,
-    /// Mean accuracy at the experiment σ.
-    pub mean: f32,
-    /// Accuracy standard deviation.
-    pub std: f32,
-}
-
 /// Renders rows as a fixed-width text table.
 ///
 /// `headers` names the columns; each row must have the same arity.

@@ -1,6 +1,6 @@
 //! Evaluation metrics.
 
-use crate::model::Sequential;
+use crate::model::{InferScratch, Sequential};
 use cn_data::{BatchIter, Dataset};
 
 /// Classification accuracy of logits against labels.
@@ -22,31 +22,17 @@ pub fn accuracy(logits: &cn_tensor::Tensor, labels: &[usize]) -> f32 {
     hits as f32 / labels.len() as f32
 }
 
-/// Evaluates model accuracy over a dataset (eval mode, batched).
-pub fn evaluate(model: &mut Sequential, data: &Dataset, batch_size: usize) -> f32 {
+/// Evaluates model accuracy over a dataset, batched through
+/// [`Sequential::infer_with`] with one scratch reused across batches
+/// (bitwise identical to `forward(x, false)`).
+pub fn evaluate(model: &Sequential, data: &Dataset, batch_size: usize) -> f32 {
+    let mut scratch = InferScratch::default();
     let mut hits = 0usize;
     for (x, y) in BatchIter::new(data, batch_size, None) {
-        let logits = model.forward(&x, false);
-        let preds = logits.argmax_rows();
+        let preds = model.infer_with(&x, &mut scratch).argmax_rows();
         hits += preds.iter().zip(y.iter()).filter(|(p, l)| p == l).count();
     }
     hits as f32 / data.len().max(1) as f32
-}
-
-/// Confusion matrix `[true][pred]` counts.
-pub fn confusion_matrix(
-    model: &mut Sequential,
-    data: &Dataset,
-    batch_size: usize,
-) -> Vec<Vec<usize>> {
-    let mut m = vec![vec![0usize; data.num_classes]; data.num_classes];
-    for (x, y) in BatchIter::new(data, batch_size, None) {
-        let preds = model.forward(&x, false).argmax_rows();
-        for (p, l) in preds.iter().zip(y.iter()) {
-            m[*l][*p] += 1;
-        }
-    }
-    m
 }
 
 /// Mean and sample standard deviation of a slice (used to report MC
@@ -84,19 +70,30 @@ mod tests {
         let mut dense = Dense::new(3, 3, &mut rng);
         dense.params_mut()[0].value = Tensor::eye(3);
         dense.params_mut()[1].value = Tensor::zeros(&[3]);
-        let mut model = Sequential::new(vec![Box::new(Flatten::new()), Box::new(dense)]);
+        let model = Sequential::new(vec![Box::new(Flatten::new()), Box::new(dense)]);
         let images = Tensor::from_vec(
             vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
             &[3, 3, 1, 1],
         );
         let data = Dataset::new(images, vec![0, 1, 2], 3, "onehot");
-        assert_eq!(evaluate(&mut model, &data, 2), 1.0);
-        let cm = confusion_matrix(&mut model, &data, 2);
-        for (i, row) in cm.iter().enumerate() {
-            for (j, &n) in row.iter().enumerate() {
-                assert_eq!(n, usize::from(i == j));
-            }
+        assert_eq!(evaluate(&model, &data, 2), 1.0);
+    }
+
+    #[test]
+    fn evaluate_matches_the_forward_protocol() {
+        use crate::noise::apply_lognormal;
+        use crate::zoo::{lenet5, LeNetConfig};
+        // A noisy LeNet over a ragged last batch: the accuracy through
+        // `infer_with` equals the per-batch `forward(x, false)` count.
+        let mut model = lenet5(&LeNetConfig::mnist(2));
+        apply_lognormal(&mut model, 0.5, &mut SeededRng::new(3));
+        let data = cn_data::synthetic_mnist(8, 13, 4).test;
+        let mut hits = 0;
+        for (x, y) in BatchIter::new(&data, 5, None) {
+            let preds = model.forward(&x, false).argmax_rows();
+            hits += preds.iter().zip(&y).filter(|(p, l)| p == l).count();
         }
+        assert_eq!(evaluate(&model, &data, 5), hits as f32 / 13.0);
     }
 
     #[test]

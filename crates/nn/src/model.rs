@@ -212,6 +212,37 @@ impl Sequential {
             .collect()
     }
 
+    /// Installs one deployment's mask plan: entry `k` is the mask of the
+    /// `k`-th layer of [`noisy_layers`](Self::noisy_layers), and `None`
+    /// clears that layer's mask.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before touching any layer, if the plan does not hold one
+    /// entry per analog layer or a mask's shape differs from its layer's.
+    pub fn install_noise(&mut self, plan: Vec<Option<Tensor>>) {
+        let noisy = self.noisy_layers();
+        assert_eq!(
+            plan.len(),
+            noisy.len(),
+            "mask plan has {} entries for {} analog layers",
+            plan.len(),
+            noisy.len()
+        );
+        for ((layer_index, dims), mask) in noisy.iter().zip(&plan) {
+            if let Some(mask) = mask {
+                assert_eq!(
+                    mask.dims(),
+                    &dims[..],
+                    "mask shape mismatch at layer {layer_index}"
+                );
+            }
+        }
+        for ((layer_index, _), mask) in noisy.into_iter().zip(plan) {
+            self.layers[layer_index].set_noise(mask);
+        }
+    }
+
     /// Folds every installed noise mask into the nominal weights and clears
     /// the masks (see [`Layer::bake_noise`]). Deployment snapshots call
     /// this once at compile time so the inference hot path multiplies no
@@ -423,6 +454,46 @@ mod tests {
         assert_eq!(noisy.len(), 2);
         assert_eq!(noisy[0], (0, vec![6, 4]));
         assert_eq!(noisy[1], (2, vec![3, 6]));
+    }
+
+    #[test]
+    fn install_noise_sets_and_clears_masks() {
+        let mut rng = SeededRng::new(14);
+        let mut m = mlp(&mut rng);
+        let x = rng.normal_tensor(&[2, 4], 0.0, 1.0);
+        let clean = m.forward(&x, false);
+        let plan = vec![
+            Some(rng.lognormal_mask(&[6, 4], 0.5)),
+            Some(rng.lognormal_mask(&[3, 6], 0.5)),
+        ];
+        m.install_noise(plan);
+        assert_ne!(m.forward(&x, false), clean);
+        // `None` clears: a second install leaves only layer 2 noisy, so
+        // the first layer's activations match the clean model's again.
+        m.install_noise(vec![None, Some(rng.lognormal_mask(&[3, 6], 0.5))]);
+        let mut reference = m.clone();
+        reference.clear_noise();
+        assert_eq!(
+            m.forward_collect(&x, false)[1],
+            reference.forward_collect(&x, false)[1]
+        );
+        m.install_noise(vec![None, None]);
+        assert_eq!(m.forward(&x, false), clean);
+    }
+
+    #[test]
+    #[should_panic(expected = "mask plan has 1 entries for 2 analog layers")]
+    fn install_noise_rejects_wrong_length() {
+        let mut rng = SeededRng::new(15);
+        mlp(&mut rng).install_noise(vec![None]);
+    }
+
+    #[test]
+    #[should_panic(expected = "mask shape mismatch at layer 2")]
+    fn install_noise_rejects_wrong_shape() {
+        let mut rng = SeededRng::new(16);
+        let mut m = mlp(&mut rng);
+        m.install_noise(vec![None, Some(Tensor::ones(&[6, 3]))]);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Weight-level variation injection (paper eq. 1–2).
 //!
-//! These helpers sample multiplicative log-normal masks `e^θ` and install
-//! them on a model's analog layers. They are the *weight-level* noise model
-//! the paper evaluates with; the device-level (conductance) model lives in
-//! `cn-analog` and reduces to this one in the ideal-mapping limit.
+//! These helpers draw multiplicative log-normal masks `e^θ` and install
+//! them with [`Sequential::install_noise`]. They are the *weight-level*
+//! noise model the paper evaluates with, and draw the same stream as
+//! `cn_analog`'s `DeploymentMode::WeightLognormal` mask plan, which also
+//! covers the device-level (conductance) and non-ideality models.
 
 use crate::model::Sequential;
-use cn_tensor::{SeededRng, Tensor};
+use cn_tensor::SeededRng;
 
 /// Samples and installs log-normal masks on **all** analog layers.
 ///
@@ -16,54 +17,21 @@ pub fn apply_lognormal(model: &mut Sequential, sigma: f32, rng: &mut SeededRng) 
 }
 
 /// Installs masks only on analog layers with *weight-layer index*
-/// `≥ start` (0-based, counting only layers that hold analog weights).
+/// `≥ start` (0-based, counting only layers that hold analog weights) and
+/// clears the rest. Skipped layers consume no draws.
 ///
 /// This implements the paper's Fig. 9 protocol: "inject variations into
 /// the layers from the last one backwards to the i-th layer".
 pub fn apply_lognormal_from(model: &mut Sequential, start: usize, sigma: f32, rng: &mut SeededRng) {
-    let noisy = model.noisy_layers();
-    for (weight_idx, (layer_idx, dims)) in noisy.into_iter().enumerate() {
-        if weight_idx >= start {
-            let mask = rng.lognormal_mask(&dims, sigma);
-            model.layer_mut(layer_idx).set_noise(Some(mask));
-        } else {
-            model.layer_mut(layer_idx).set_noise(None);
-        }
-    }
-}
-
-/// Installs a specific pre-sampled mask per analog layer.
-///
-/// # Panics
-///
-/// Panics if `masks` does not have one entry per analog layer.
-pub fn apply_masks(model: &mut Sequential, masks: &[Tensor]) {
-    let noisy = model.noisy_layers();
-    assert_eq!(
-        noisy.len(),
-        masks.len(),
-        "expected {} masks, got {}",
-        noisy.len(),
-        masks.len()
-    );
-    for ((layer_idx, dims), mask) in noisy.into_iter().zip(masks.iter()) {
-        assert_eq!(mask.dims(), &dims[..], "mask shape mismatch");
-        model.layer_mut(layer_idx).set_noise(Some(mask.clone()));
-    }
-}
-
-/// Samples one full set of masks without installing them.
-pub fn sample_masks(model: &Sequential, sigma: f32, rng: &mut SeededRng) -> Vec<Tensor> {
-    model
+    let plan = model
         .noisy_layers()
         .into_iter()
-        .map(|(_, dims)| rng.lognormal_mask(&dims, sigma))
-        .collect()
-}
-
-/// Number of analog weight layers (the paper's per-layer x-axis in Fig. 9).
-pub fn num_weight_layers(model: &Sequential) -> usize {
-    model.noisy_layers().len()
+        .enumerate()
+        .map(|(weight_idx, (_, dims))| {
+            (weight_idx >= start).then(|| rng.lognormal_mask(&dims, sigma))
+        })
+        .collect();
+    model.install_noise(plan);
 }
 
 #[cfg(test)]
@@ -131,20 +99,19 @@ mod tests {
 
     #[test]
     fn sample_then_apply_reproduces() {
+        // Installing a plan replaces the masks rather than compounding
+        // them: installing the same plan twice gives the same outputs.
         let mut m = model();
         let mut rng = SeededRng::new(5);
-        let masks = sample_masks(&m, 0.5, &mut rng);
-        assert_eq!(masks.len(), 3);
-        apply_masks(&mut m, &masks);
+        let plan: Vec<_> = m
+            .noisy_layers()
+            .iter()
+            .map(|(_, dims)| Some(rng.lognormal_mask(dims, 0.5)))
+            .collect();
         let x = SeededRng::new(6).normal_tensor(&[1, 4], 0.0, 1.0);
+        m.install_noise(plan.clone());
         let y1 = m.forward(&x, false);
-        apply_masks(&mut m, &masks);
-        let y2 = m.forward(&x, false);
-        assert_eq!(y1, y2);
-    }
-
-    #[test]
-    fn weight_layer_count() {
-        assert_eq!(num_weight_layers(&model()), 3);
+        m.install_noise(plan);
+        assert_eq!(m.forward(&x, false), y1);
     }
 }

@@ -11,11 +11,11 @@ use cn_nn::zoo::{lenet5, mlp, LeNetConfig};
 fn lenet_learns_synthetic_mnist() {
     let data = synthetic_mnist(300, 100, 42);
     let mut model = lenet5(&LeNetConfig::mnist(7));
-    let before = evaluate(&mut model, &data.test, 50);
+    let before = evaluate(&model, &data.test, 50);
     let mut opt = Adam::new(2e-3);
     let mut trainer = Trainer::new(TrainConfig::new(5, 32, 1));
     let stats = trainer.fit(&mut model, &data.train, &mut opt);
-    let after = evaluate(&mut model, &data.test, 50);
+    let after = evaluate(&model, &data.test, 50);
     assert!(
         after > 0.8,
         "LeNet test accuracy {after} too low (chance ≈ 0.1, start {before}), stats {stats:?}"
@@ -38,7 +38,7 @@ fn mlp_learns_synthetic_mnist_flattened() {
     let mut model = Sequential::new(layers);
     let mut opt = Adam::new(2e-3);
     Trainer::new(TrainConfig::new(4, 32, 2)).fit(&mut model, &data.train, &mut opt);
-    let acc = evaluate(&mut model, &data.test, 40);
+    let acc = evaluate(&model, &data.test, 40);
     assert!(acc > 0.7, "MLP test accuracy {acc} too low");
 }
 
@@ -58,6 +58,6 @@ fn training_under_persistent_noise_masks_still_learns() {
         .with_before_batch(move |m, _| apply_lognormal(m, 0.1, &mut noise_rng));
     trainer.fit(&mut model, &data.train, &mut opt);
     model.clear_noise();
-    let acc = evaluate(&mut model, &data.test, 40);
+    let acc = evaluate(&model, &data.test, 40);
     assert!(acc > 0.6, "noise-aware training accuracy {acc} too low");
 }

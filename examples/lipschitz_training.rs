@@ -41,8 +41,8 @@ fn main() {
     let bound_reg: f32 = sr.iter().map(|(_, s)| s).product();
     println!("  Lipschitz product bound: {bound_plain:.3e} → {bound_reg:.3e}\n");
 
-    let acc_plain = evaluate(&mut plain.clone(), &data.test, 64);
-    let acc_reg = evaluate(&mut regularized.clone(), &data.test, 64);
+    let acc_plain = evaluate(&plain, &data.test, 64);
+    let acc_reg = evaluate(&regularized, &data.test, 64);
     println!(
         "clean accuracy: plain {:.1}%, regularized {:.1}%",
         100.0 * acc_plain,

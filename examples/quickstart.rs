@@ -32,7 +32,7 @@ fn main() {
     let stages = CorrectNetStages::new(cfg);
     let mut model = lenet5(&LeNetConfig::mnist(1));
     stages.train_base(&mut model, &data.train);
-    let clean = evaluate(&mut model.clone(), &data.test, 64);
+    let clean = evaluate(&model, &data.test, 64);
     println!(
         "clean accuracy after Lipschitz training: {:.1}%",
         100.0 * clean

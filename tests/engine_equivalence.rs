@@ -108,7 +108,7 @@ fn engine_monte_carlo_reproduces_legacy_protocol_bitwise() {
                 let mut local = model.clone();
                 let mut rng = SeededRng::new(cfg.seed).fork(i as u64);
                 cn_nn::noise::apply_lognormal_from(&mut local, start, cfg.sigma, &mut rng);
-                evaluate(&mut local, &data.test, cfg.batch_size)
+                evaluate(&local, &data.test, cfg.batch_size)
             })
             .collect();
         let engine = monte_carlo(

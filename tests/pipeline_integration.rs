@@ -33,7 +33,7 @@ fn correctnet_recovers_accuracy_under_variations() {
     // Plain model: collapses under variations.
     let mut plain = lenet5(&LeNetConfig::mnist(233));
     stages.train_plain(&mut plain, &data.train);
-    let clean_plain = evaluate(&mut plain.clone(), &data.test, 64);
+    let clean_plain = evaluate(&plain, &data.test, 64);
     let noisy_plain = stages.evaluate(&plain, &data.test);
 
     // CorrectNet: Lipschitz training + compensation on the early layers.

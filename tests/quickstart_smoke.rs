@@ -33,6 +33,6 @@ fn one_epoch_quickstart_path() {
         "logits must be finite after one epoch"
     );
 
-    let acc = evaluate(&mut model, &data.test, 32);
+    let acc = evaluate(&model, &data.test, 32);
     assert!((0.0..=1.0).contains(&acc), "accuracy in [0, 1], got {acc}");
 }

@@ -12,7 +12,7 @@ fn trained_lenet_roundtrips_through_disk() {
     let data = synthetic_mnist(150, 60, 221);
     let mut model = lenet5(&LeNetConfig::mnist(222));
     Trainer::new(TrainConfig::new(3, 32, 223)).fit(&mut model, &data.train, &mut Adam::new(2e-3));
-    let acc = evaluate(&mut model.clone(), &data.test, 32);
+    let acc = evaluate(&model, &data.test, 32);
 
     let dir = std::env::temp_dir().join("correctnet_roundtrip");
     std::fs::create_dir_all(&dir).unwrap();
@@ -22,7 +22,7 @@ fn trained_lenet_roundtrips_through_disk() {
     let mut restored = lenet5(&LeNetConfig::mnist(999)); // different init
     let dict = load_state_dict(&path).unwrap();
     restored.load_state_dict(&dict).unwrap();
-    let acc2 = evaluate(&mut restored, &data.test, 32);
+    let acc2 = evaluate(&restored, &data.test, 32);
     assert_eq!(acc, acc2, "restored model must reproduce accuracy exactly");
     std::fs::remove_file(&path).ok();
 }
