@@ -5,9 +5,8 @@ use cn_tensor::SeededRng;
 /// Electrical specification of one RRAM cell and its non-idealities.
 ///
 /// Conductances are expressed in microsiemens (µS). Programming applies a
-/// log-normal multiplicative error (process variation, paper Sec. II);
-/// reads add relative Gaussian noise (thermal/shot noise); an optional
-/// finite number of conductance levels models multi-level-cell
+/// log-normal multiplicative error (process variation, paper Sec. II); an
+/// optional finite number of conductance levels models multi-level-cell
 /// quantization.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellSpec {
@@ -17,14 +16,13 @@ pub struct CellSpec {
     pub g_max: f32,
     /// σ of the log-normal programming error (0 = ideal write).
     pub prog_sigma: f32,
-    /// Relative σ of per-read Gaussian noise (0 = ideal read).
-    pub read_sigma: f32,
-    /// Number of programmable levels (`None` = continuous).
+    /// Number of programmable levels (`None` = continuous; at least 2 when
+    /// set).
     pub levels: Option<u32>,
 }
 
 impl CellSpec {
-    /// An ideal cell: no variation, no noise, continuous levels.
+    /// An ideal cell: no variation, continuous levels.
     ///
     /// # Panics
     ///
@@ -38,7 +36,6 @@ impl CellSpec {
             g_min,
             g_max,
             prog_sigma: 0.0,
-            read_sigma: 0.0,
             levels: None,
         }
     }
@@ -78,14 +75,6 @@ impl CellSpec {
         }
         (ideal * rng.lognormal(0.0, self.prog_sigma)).clamp(self.g_min, self.g_max)
     }
-
-    /// Reads a programmed conductance with per-read noise.
-    pub fn read(&self, g: f32, rng: &mut SeededRng) -> f32 {
-        if self.read_sigma == 0.0 {
-            return g;
-        }
-        (g * (1.0 + rng.normal(0.0, self.read_sigma))).max(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -97,7 +86,6 @@ mod tests {
         let spec = CellSpec::ideal(1.0, 100.0);
         let mut rng = SeededRng::new(1);
         assert_eq!(spec.program(42.0, &mut rng), 42.0);
-        assert_eq!(spec.read(42.0, &mut rng), 42.0);
     }
 
     #[test]
@@ -130,18 +118,6 @@ mod tests {
         // E[g·e^θ] = 50·e^{0.02} ≈ 51.
         assert!((mean - 51.0).abs() < 1.0, "mean {mean}");
         assert!(samples.iter().all(|&g| (1.0..=100.0).contains(&g)));
-    }
-
-    #[test]
-    fn read_noise_is_centered() {
-        let spec = CellSpec {
-            read_sigma: 0.05,
-            ..CellSpec::ideal(1.0, 100.0)
-        };
-        let mut rng = SeededRng::new(4);
-        let samples: Vec<f32> = (0..5000).map(|_| spec.read(50.0, &mut rng)).collect();
-        let mean = samples.iter().sum::<f32>() / samples.len() as f32;
-        assert!((mean - 50.0).abs() < 0.5);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::cell::CellSpec;
 use crate::drift::ConductanceDrift;
 use crate::faults::StuckFaults;
 use crate::irdrop::IrDrop;
-use crate::mapping::{conductance_masks, MappingConfig};
+use crate::mapping::conductance_masks;
 use cn_nn::Sequential;
 use cn_tensor::{SeededRng, Tensor};
 
@@ -16,7 +16,8 @@ pub enum DeploymentMode {
         /// Standard deviation of `θ`.
         sigma: f32,
     },
-    /// Full conductance-level crossbar simulation.
+    /// Conductance-level programming: every weight is stored as a
+    /// differential pair on `tile_size`² arrays (see [`CellSpec`]).
     Conductance {
         /// Cell model.
         spec: CellSpec,
@@ -63,7 +64,10 @@ impl DeploymentMode {
     ///
     /// # Panics
     ///
-    /// Panics if the log-normal `sigma` is negative or NaN.
+    /// Panics if the log-normal `sigma` is negative or NaN, or, for
+    /// [`DeploymentMode::Conductance`], if `tile_size` is zero, the cell
+    /// spec does not have `0 ≤ g_min < g_max`, `prog_sigma` is negative or
+    /// NaN, or `levels` is below 2.
     pub fn mask_plan(
         &self,
         model: &Sequential,
@@ -72,14 +76,27 @@ impl DeploymentMode {
     ) -> Vec<Option<Tensor>> {
         let sigma = match self {
             DeploymentMode::Conductance { spec, tile_size } => {
-                // The conductance path programs the whole model onto
-                // (tiled) crossbars in one pass; prefix layers are
-                // programmed but excluded from the plan.
-                let cfg = MappingConfig {
-                    tile_size: *tile_size,
-                    spec: *spec,
-                };
-                return conductance_masks(model, &cfg, rng)
+                assert!(*tile_size > 0, "tile_size must be positive");
+                assert!(
+                    0.0 <= spec.g_min && spec.g_min < spec.g_max,
+                    "need 0 <= g_min < g_max, got {}..{}",
+                    spec.g_min,
+                    spec.g_max
+                );
+                assert!(
+                    spec.prog_sigma >= 0.0,
+                    "prog_sigma must be non-negative, got {}",
+                    spec.prog_sigma
+                );
+                assert!(
+                    spec.levels.is_none_or(|levels| levels >= 2),
+                    "levels must be at least 2 when set, got {:?}",
+                    spec.levels
+                );
+                // The conductance path programs the whole model in one
+                // pass; prefix layers are programmed but excluded from
+                // the plan.
+                return conductance_masks(model, spec, *tile_size, rng)
                     .into_iter()
                     .enumerate()
                     .map(|(i, mask)| (i >= start).then_some(mask))
@@ -268,6 +285,52 @@ mod tests {
         }
     }
 
+    fn conductance_plan(spec: CellSpec, tile_size: usize) {
+        let model = mlp(&[4, 3], 12);
+        DeploymentMode::Conductance { spec, tile_size }.mask_plan(
+            &model,
+            0,
+            &mut SeededRng::new(13),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "levels must be at least 2")]
+    fn conductance_single_level_panics() {
+        conductance_plan(
+            CellSpec {
+                levels: Some(1),
+                ..CellSpec::ideal(1.0, 100.0)
+            },
+            4,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "need 0 <= g_min < g_max")]
+    fn conductance_inverted_range_panics() {
+        conductance_plan(
+            CellSpec {
+                g_min: 100.0,
+                g_max: 1.0,
+                ..CellSpec::ideal(1.0, 100.0)
+            },
+            4,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "prog_sigma must be non-negative")]
+    fn conductance_nan_prog_sigma_panics() {
+        conductance_plan(CellSpec::typical(f32::NAN), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "tile_size must be positive")]
+    fn conductance_zero_tile_size_panics() {
+        conductance_plan(CellSpec::ideal(1.0, 100.0), 0);
+    }
+
     #[test]
     fn conductance_deploy_with_variation_perturbs() {
         let mut model = mlp(&[4, 8, 3], 5);
@@ -325,6 +388,109 @@ mod tests {
         assert!(m1[0].data().iter().all(|&m| m <= 1.0 && m > 0.0));
         assert!(m1[0].min() < 1.0, "far corner must be attenuated");
     }
+
+    /// FNV-1a over a conductance plan's mask bits (a present/absent tag
+    /// per layer) followed by the bits of the RNG's next `uniform()`.
+    fn plan_hash(mode: &DeploymentMode, model: &Sequential, start: usize) -> u64 {
+        let mut rng = SeededRng::new(31);
+        let plan = mode.mask_plan(model, start, &mut rng);
+        let mut words = Vec::new();
+        for mask in &plan {
+            words.push(u32::from(mask.is_some()));
+            if let Some(mask) = mask {
+                words.extend(mask.data().iter().map(|m| m.to_bits()));
+            }
+        }
+        words.push(rng.uniform().to_bits());
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        cn_tensor::hash::fnv1a64(&bytes)
+    }
+
+    /// Pins the conductance stream: masks and RNG position for LeNet-5
+    /// and an MLP with partial edge tiles, over four cell specs, three
+    /// tile sizes and both plan starts. Any change to the draw order or
+    /// to the per-tile float arithmetic moves these bits.
+    #[test]
+    fn conductance_plans_are_pinned() {
+        use cn_nn::zoo::{lenet5, LeNetConfig};
+        let models = [lenet5(&LeNetConfig::mnist(1)), mlp(&[300, 200, 10], 2)];
+        let specs = [
+            CellSpec::ideal(1.0, 100.0),
+            CellSpec::typical(0.3),
+            CellSpec {
+                levels: Some(32),
+                ..CellSpec::typical(0.3)
+            },
+            CellSpec {
+                levels: Some(16),
+                ..CellSpec::ideal(1.0, 100.0)
+            },
+        ];
+        let mut got = Vec::new();
+        for model in &models {
+            for spec in specs {
+                for tile_size in [4, 37, 128] {
+                    for start in [0, 1] {
+                        let mode = DeploymentMode::Conductance { spec, tile_size };
+                        got.push(plan_hash(&mode, model, start));
+                    }
+                }
+            }
+        }
+        assert_eq!(got, GOLDEN_CONDUCTANCE);
+    }
+
+    /// Indexed `[model][spec][tile_size][start]`, row-major.
+    const GOLDEN_CONDUCTANCE: [u64; 48] = [
+        0xab33_4a52_4490_fcef,
+        0x8257_8deb_beda_8e8e,
+        0xd7cd_bcc4_f211_4c1b,
+        0x4fcf_cc1b_646a_f832,
+        0x3400_5c19_ffe8_4368,
+        0x9e18_3783_0715_23d1,
+        0xebf8_6b1a_cbdc_9878,
+        0x42c3_c7a0_a758_76c0,
+        0xebe6_0321_475e_ab45,
+        0xcd16_5b18_64ae_4607,
+        0x4313_620f_706e_5d70,
+        0xbea8_0dc7_8f1c_3dbe,
+        0xe0a4_6ac9_911d_3cdc,
+        0x1912_c946_3d00_e192,
+        0x804b_2991_0391_edd7,
+        0x21cd_9ac4_804d_d264,
+        0x2f54_3aa4_abe0_7758,
+        0x0b9b_aa41_845f_fbff,
+        0xd6df_1a00_270e_8438,
+        0xbbc1_6b5a_25bc_8c86,
+        0xa5fb_e039_5262_f20b,
+        0x2289_c134_7956_b2d1,
+        0xa7b1_e543_53fc_402e,
+        0xe127_3f5c_8bb6_afcc,
+        0x72ce_9f00_2ecd_4a3b,
+        0x71e6_3944_cab6_3f0d,
+        0x9041_4b73_0741_fcc7,
+        0xb645_5dc6_c819_99f7,
+        0x6859_d342_bc9a_5bbb,
+        0x2a4a_659f_6817_80a0,
+        0xc71d_21a5_5b2f_5e2d,
+        0xe70d_95d5_3075_85c1,
+        0x3559_01df_3a0d_9604,
+        0xc83b_209d_27fb_ad4a,
+        0x1983_a0c0_af67_6092,
+        0x747b_9b9b_3a3c_18d9,
+        0x92d6_1a20_2f2f_0ca4,
+        0xad0a_7cc1_1ed8_9057,
+        0x5b1f_bc2f_a72e_0003,
+        0xb718_6738_4872_30ce,
+        0x9166_7d54_cbc3_61c6,
+        0x1a4d_b829_e244_1a51,
+        0x27a0_7999_04e2_2d72,
+        0x89b5_1882_22ab_359b,
+        0xe010_7925_5233_65dc,
+        0x266a_3e85_93f9_69dd,
+        0x09c6_025e_eaa7_c95f,
+        0xa7f9_1909_ee0f_65e7,
+    ];
 
     #[test]
     fn sampling_is_deterministic_per_rng_seed() {

@@ -1,6 +1,6 @@
 //! # cn-analog
 //!
-//! RRAM crossbar simulation substrate for analog in-memory computing
+//! RRAM device models for analog in-memory computing
 //! (paper Fig. 1), plus the Monte-Carlo deployment machinery every
 //! CorrectNet experiment runs on.
 //!
@@ -9,12 +9,16 @@
 //! - **Weight-level** variation (the model the paper evaluates with,
 //!   eq. 1–2): every weight is multiplied by an independent log-normal
 //!   factor `e^θ`.
-//! - **Conductance-level** simulation: weights are mapped onto differential
-//!   RRAM conductance pairs ([`mapping`]) in (tiled) crossbars
-//!   ([`crossbar`], [`tiled`]) with programming variation, read noise,
-//!   conductance quantization ([`cell`]), stuck-at faults ([`faults`]) and
-//!   DAC/ADC quantization ([`converters`]). The ideal limit reproduces the
-//!   weight-level model.
+//! - **Conductance-level** variation ([`DeploymentMode::Conductance`]):
+//!   each weight is programmed as a differential RRAM conductance pair
+//!   `w = α·(G⁺ − G⁻)` with a per-tile scale, programming variation and
+//!   optional multi-level quantization ([`cell`]). The ideal limit
+//!   reproduces the weight-level model.
+//!
+//! Either way the paper's Fig. 1 crossbar MAC runs as the engine's
+//! dense/conv kernels over weights baked with the drawn masks; stuck-at
+//! faults ([`faults`]), retention drift ([`drift`]) and IR drop
+//! ([`irdrop`]) compose with the weight-level model.
 //!
 //! [`DeploymentMode::mask_plan`] is the one routine that draws a
 //! deployment, at either level and with the stuck-at, drift and IR-drop
@@ -48,16 +52,13 @@
 #![warn(missing_docs)]
 
 pub mod cell;
-pub mod converters;
-pub mod crossbar;
 pub mod deployment;
 pub mod drift;
 pub mod energy;
 pub mod engine;
 pub mod faults;
 pub mod irdrop;
-pub mod mapping;
-pub mod tiled;
+mod mapping;
 
 /// The Monte-Carlo protocol's configuration and result types under their
 /// original path; they live in [`engine`].
@@ -66,10 +67,8 @@ pub mod montecarlo {
 }
 
 pub use cell::CellSpec;
-pub use crossbar::Crossbar;
 pub use deployment::DeploymentMode;
 pub use engine::{
     monte_carlo, AnalogBackend, Backend, CompiledModel, DigitalBackend, EngineBuilder, McConfig,
     McResult, Session,
 };
-pub use tiled::TiledCrossbar;

@@ -77,15 +77,23 @@ fn swap(router: &ShardRouter, parsed: &Json) -> String {
             swap_ok(router.generation())
         }
         Some("drift") => {
-            let num = |key: &str| parsed.get(key).and_then(Json::as_f64);
+            // Checked after the f32 cast, with `ConductanceDrift::new`'s
+            // predicates, so no accepted frame can panic the handler.
+            let num = |key: &str| parsed.get(key).and_then(Json::as_f64).map(|v| v as f32);
             match (num("nu"), num("nu_sigma"), num("t0"), num("t")) {
-                (Some(nu), Some(nu_sigma), Some(t0), Some(t)) if t >= t0 && t0 > 0.0 => {
-                    let drift = ConductanceDrift::new(nu as f32, nu_sigma as f32, t0 as f32);
-                    router.recompile_drifted(&drift, t as f32);
+                (Some(nu), Some(nu_sigma), Some(t0), Some(t))
+                    if [nu, nu_sigma, t0, t].iter().all(|v| v.is_finite())
+                        && nu >= 0.0
+                        && nu_sigma >= 0.0
+                        && t0 > 0.0
+                        && t >= t0 =>
+                {
+                    router.recompile_drifted(&ConductanceDrift::new(nu, nu_sigma, t0), t);
                     swap_ok(router.generation())
                 }
-                (Some(_), Some(_), Some(t0), Some(t)) => error_reply(&format!(
-                    "drift swap needs t ≥ t0 > 0 (got t0 = {t0}, t = {t})"
+                (Some(nu), Some(nu_sigma), Some(t0), Some(t)) => error_reply(&format!(
+                    "drift swap needs finite nu ≥ 0, nu_sigma ≥ 0 and t ≥ t0 > 0 as f32 \
+                     (got nu = {nu}, nu_sigma = {nu_sigma}, t0 = {t0}, t = {t})"
                 )),
                 _ => error_reply("drift swap needs numeric `nu`, `nu_sigma`, `t0`, `t`"),
             }
@@ -224,16 +232,22 @@ mod tests {
         );
         assert_eq!(r.generation(), 1);
 
-        let bad = "{\"cmd\":\"swap\",\"mode\":\"drift\",\"nu\":0.05}";
-        let (reply, _) = handle_control(&r, bad);
-        assert_eq!(
-            Json::parse(&reply)
-                .unwrap()
-                .get("ok")
-                .and_then(Json::as_bool),
-            Some(false)
-        );
-        assert_eq!(r.generation(), 1);
+        for bad in [
+            "{\"cmd\":\"swap\",\"mode\":\"drift\",\"nu\":0.05}",
+            // Each of these panics in `ConductanceDrift::new` unless rejected.
+            "{\"cmd\":\"swap\",\"mode\":\"drift\",\"nu\":-1,\"nu_sigma\":0,\"t0\":1,\"t\":2}",
+            "{\"cmd\":\"swap\",\"mode\":\"drift\",\"nu\":0.05,\"nu_sigma\":-0.1,\"t0\":1,\"t\":2}",
+            // Positive as f64, zero after the f32 cast.
+            "{\"cmd\":\"swap\",\"mode\":\"drift\",\"nu\":0.05,\"nu_sigma\":0,\"t0\":1e-60,\"t\":2}",
+            // Finite as f64, infinite after the f32 cast.
+            "{\"cmd\":\"swap\",\"mode\":\"drift\",\"nu\":0.05,\"nu_sigma\":0,\"t0\":1,\"t\":1e60}",
+        ] {
+            let (reply, _) = handle_control(&r, bad);
+            let json = Json::parse(&reply).unwrap();
+            assert_eq!(json.get("ok").and_then(Json::as_bool), Some(false), "{bad}");
+            assert!(json.get("error").and_then(Json::as_str).is_some(), "{bad}");
+            assert_eq!(r.generation(), 1, "{bad}");
+        }
     }
 
     #[test]

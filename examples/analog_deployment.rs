@@ -1,7 +1,7 @@
-//! Device-level deployment: map a trained network onto simulated RRAM
-//! crossbars (differential conductance pairs, programming variation, read
-//! noise, quantization) and compare against the paper's weight-level
-//! log-normal model.
+//! Device-level deployment: program a trained network onto simulated RRAM
+//! conductance pairs (per-tile scaling, programming variation, multi-level
+//! quantization) and compare against the paper's weight-level log-normal
+//! model.
 //!
 //! ```bash
 //! cargo run --release --example analog_deployment
@@ -10,35 +10,13 @@
 use cn_analog::cell::CellSpec;
 use cn_analog::deployment::DeploymentMode;
 use cn_analog::engine::{monte_carlo, AnalogBackend, McConfig};
-use cn_analog::{Crossbar, TiledCrossbar};
 use cn_data::synthetic_mnist;
 use cn_nn::optim::Adam;
 use cn_nn::trainer::{TrainConfig, Trainer};
 use cn_nn::zoo::{lenet5, LeNetConfig};
-use cn_tensor::SeededRng;
 
 fn main() {
     println!("== RRAM crossbar deployment ==\n");
-
-    // A single crossbar doing an analog MAC (paper Fig. 1).
-    let mut rng = SeededRng::new(1);
-    let w = rng.normal_tensor(&[4, 6], 0.0, 1.0);
-    let x = rng.normal_tensor(&[6], 0.0, 1.0);
-    let xbar = Crossbar::program(&w, CellSpec::ideal(1.0, 100.0), &mut rng);
-    let y_analog = xbar.mac(&x, &mut rng);
-    let y_exact = w.matvec(&x);
-    println!(
-        "ideal crossbar MAC error: {:.2e}",
-        (&y_analog - &y_exact).abs_max()
-    );
-
-    // Tiling a large matrix over 128×128 arrays.
-    let big = rng.normal_tensor(&[300, 200], 0.0, 1.0);
-    let tiled = TiledCrossbar::program(&big, 128, CellSpec::typical(0.1), &mut rng);
-    println!(
-        "300×200 matrix → {} physical 128×128 arrays",
-        tiled.tile_count()
-    );
 
     // Whole-network deployment: weight-level vs conductance-level noise.
     let data = synthetic_mnist(600, 200, 11);
@@ -59,7 +37,6 @@ fn main() {
         &AnalogBackend::new(DeploymentMode::Conductance {
             spec: CellSpec {
                 prog_sigma: 0.3,
-                read_sigma: 0.0,
                 levels: None,
                 ..CellSpec::ideal(1.0, 100.0)
             },
@@ -73,14 +50,13 @@ fn main() {
         &AnalogBackend::new(DeploymentMode::Conductance {
             spec: CellSpec {
                 prog_sigma: 0.3,
-                read_sigma: 0.0,
                 levels: Some(32),
                 ..CellSpec::ideal(1.0, 100.0)
             },
             tile_size: 128,
         }),
     );
-    println!("\naccuracy under σ = 0.3 (8 MC samples):");
+    println!("accuracy under σ = 0.3 (8 MC samples):");
     println!(
         "  weight-level log-normal (paper eq. 1–2): {:.1}% ± {:.1}",
         100.0 * weight_level.mean,
