@@ -46,9 +46,7 @@ fn bench_net_throughput(c: &mut Criterion) {
         let frontend = Frontend::bind(
             "127.0.0.1:0",
             Arc::clone(&router),
-            FrontendConfig::default()
-                .handlers(CONNECTIONS)
-                .read_timeout(Duration::from_micros(200)),
+            FrontendConfig::default().handlers(CONNECTIONS),
         )
         .expect("bind loopback frontend");
         let addr = frontend.local_addr();

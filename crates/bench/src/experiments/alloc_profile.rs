@@ -157,9 +157,9 @@ impl Experiment for AllocProfile {
             batches,
         );
 
-        // Serve path: one worker over a small MLP head; each round is a
-        // pipelined full batch so the worker coalesces at the planned
-        // deployment batch. Counted on the worker threads.
+        // Serve path: one worker over a small MLP head; each round
+        // pipelines eight requests, which the worker runs in batches of
+        // whatever is queued. Counted on the worker threads.
         eprintln!("[alloc_profile] serve worker loop …");
         let head = mlp(&[16, 32, 8], 3);
         let config = ServeConfig::new(8)

@@ -28,7 +28,8 @@ const HOT_PATHS: &[&str] = &[
 /// Functions whose bodies form the per-request steady state: the serve
 /// worker loop and its batch step, the session entry points (including
 /// the Monte-Carlo `evaluate` pass), the scratch-threaded sequential
-/// forward, and the connection-handler loop.
+/// forward, and the connection-handler loop with its per-connection
+/// step (`Conn::serve`).
 const HOT_FNS: &[&str] = &[
     "worker_loop",
     "run_batch",
@@ -39,7 +40,7 @@ const HOT_FNS: &[&str] = &[
     "evaluate",
     "infer_with",
     "handler_loop",
-    "handle_connection",
+    "serve",
     "flush_ready",
     "fulfill",
 ];

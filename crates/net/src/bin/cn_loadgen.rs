@@ -28,6 +28,10 @@ LOAD OPTIONS:
     --qps Q            open loop: aggregate target request rate
                        (default 1000)
     --seed N           payload seed (default 0)
+    --idle-conns N     also hold N connections open that never send
+                       (default 0)
+    --slow-clients N   also hold N connections open that send one frame
+                       header byte per 100 ms (default 0)
     -h, --help         print this help
 
 CONTROL COMMANDS:
@@ -36,7 +40,8 @@ CONTROL COMMANDS:
     JSON               any raw JSON control object, sent verbatim
 
 EXIT STATUS: 0 when every request completed (load) or the server said
-ok (control); 1 otherwise.";
+ok (control); 1 otherwise. A connection that gets no reply for 10 s
+gives up: its unanswered requests count as lost.";
 
 fn resolve(addr: &str) -> Result<SocketAddr, String> {
     addr.to_socket_addrs()
@@ -77,6 +82,8 @@ fn parse_load(args: &[String]) -> Result<(SocketAddr, LoadgenConfig), String> {
             "--window" => window = value.parse().map_err(|_| bad("count"))?,
             "--qps" => qps = value.parse().map_err(|_| bad("rate"))?,
             "--seed" => config.seed = value.parse().map_err(|_| bad("number"))?,
+            "--idle-conns" => config.idle_conns = value.parse().map_err(|_| bad("count"))?,
+            "--slow-clients" => config.slow_clients = value.parse().map_err(|_| bad("count"))?,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -93,8 +100,8 @@ fn run_load(args: &[String]) -> Result<bool, String> {
     let (addr, config) = parse_load(args)?;
     let report = loadgen::run(addr, &config).map_err(|e| format!("load run failed: {e}"))?;
     println!(
-        "cn-loadgen report ({:?} over {} conns):",
-        config.mode, config.connections
+        "cn-loadgen report ({:?} over {} conns, {} idle, {} slow):",
+        config.mode, config.connections, config.idle_conns, config.slow_clients
     );
     println!(
         "  completed      {:>8}   ({:.1} req/s)",

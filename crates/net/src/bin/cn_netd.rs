@@ -29,7 +29,10 @@ OPTIONS:
     --shards N         independent serving shards (default 4)
     --workers N        worker threads per shard (default 2)
     --max-batch N      rows coalesced per shard batch (default 8)
-    --max-wait-us N    batching window in microseconds (default 1000)
+    --max-wait-us N    longest a shard worker waits for a batch to fill,
+                       in microseconds (default 1000); it waits only
+                       right after a full batch, otherwise it runs what
+                       is queued at once
     --queue N          per-shard admission queue capacity (default 64)
     --handlers N       connection-handler pool size (default 4)
     --sigma S          deployment weight-variation sigma (default 0 =

@@ -6,7 +6,8 @@
 //! - `{"cmd":"stats"}` — a snapshot aggregating every shard's
 //!   [`ServerStats`](cn_serve::ServerStats) (per-shard and
 //!   requests-weighted aggregate p50/p95/p99, throughput, in-flight,
-//!   shed/routed counters, generation, lifecycle state).
+//!   worker panics, shed/routed counters, generation, lifecycle state)
+//!   plus the frontend's connection counters ([`FrontendStats`]).
 //! - `{"cmd":"drain"}` — begin a graceful drain: the frontend stops
 //!   accepting, in-flight requests are flushed, then connections and
 //!   shards close.
@@ -33,11 +34,29 @@ pub enum ControlAction {
     Drain,
 }
 
+/// The frontend's connection counters, reported as the `frontend` object
+/// of the `stats` reply.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FrontendStats {
+    /// Connections currently held by the handlers.
+    pub connections_open: u64,
+    /// Connections refused with a backpressure frame because the
+    /// frontend was at its connection limit.
+    pub connections_shed: u64,
+    /// Connections dropped because serving them panicked.
+    pub handler_panics: u64,
+}
+
 /// Executes one control command against the router and renders the JSON
-/// reply. Router mutations (`swap`) happen here; the frontend-wide drain
-/// is returned as an action because only the frontend can stop its own
+/// reply; `frontend` supplies the connection counters `stats` reports.
+/// Router mutations (`swap`) happen here; the frontend-wide drain is
+/// returned as an action because only the frontend can stop its own
 /// acceptor.
-pub fn handle_control(router: &ShardRouter, text: &str) -> (String, ControlAction) {
+pub fn handle_control(
+    router: &ShardRouter,
+    frontend: &FrontendStats,
+    text: &str,
+) -> (String, ControlAction) {
     let parsed = match Json::parse(text) {
         Ok(json) => json,
         Err(e) => {
@@ -57,7 +76,7 @@ pub fn handle_control(router: &ShardRouter, text: &str) -> (String, ControlActio
         }
     };
     match cmd {
-        "stats" => (stats_reply(&router.stats()), ControlAction::None),
+        "stats" => (stats_reply(&router.stats(), frontend), ControlAction::None),
         "drain" => (
             Json::obj([("ok", Json::Bool(true)), ("draining", Json::Bool(true))]).render(),
             ControlAction::Drain,
@@ -115,8 +134,9 @@ fn error_reply(message: &str) -> String {
     Json::obj([("ok", Json::Bool(false)), ("error", Json::str(message))]).render()
 }
 
-/// Renders a [`RouterStats`] snapshot as the `/stats` JSON document.
-pub fn stats_reply(stats: &RouterStats) -> String {
+/// Renders a [`RouterStats`] snapshot and the frontend's counters as the
+/// `/stats` JSON document.
+pub fn stats_reply(stats: &RouterStats, frontend: &FrontendStats) -> String {
     let (requests, throughput, p50, p95, p99) = stats.aggregate();
     let shards: Vec<Json> = stats
         .shards
@@ -132,6 +152,7 @@ pub fn stats_reply(stats: &RouterStats) -> String {
                 ("p95_us", Json::num(s.p95_us)),
                 ("p99_us", Json::num(s.p99_us)),
                 ("inflight", Json::num(inflight as f64)),
+                ("worker_panics", Json::num(s.worker_panics as f64)),
             ])
         })
         .collect();
@@ -152,6 +173,20 @@ pub fn stats_reply(stats: &RouterStats) -> String {
             ]),
         ),
         ("shards", Json::Arr(shards)),
+        (
+            "frontend",
+            Json::obj([
+                (
+                    "connections_open",
+                    Json::num(frontend.connections_open as f64),
+                ),
+                (
+                    "connections_shed",
+                    Json::num(frontend.connections_shed as f64),
+                ),
+                ("handler_panics", Json::num(frontend.handler_panics as f64)),
+            ]),
+        ),
     ])
     .render()
 }
@@ -183,7 +218,12 @@ mod tests {
         for _ in 0..6 {
             r.route(&Tensor::zeros(&[4])).unwrap().wait().unwrap();
         }
-        let (reply, action) = handle_control(&r, "{\"cmd\":\"stats\"}");
+        let frontend = FrontendStats {
+            connections_open: 3,
+            connections_shed: 2,
+            handler_panics: 1,
+        };
+        let (reply, action) = handle_control(&r, &frontend, "{\"cmd\":\"stats\"}");
         assert_eq!(action, ControlAction::None);
         let json = Json::parse(&reply).unwrap();
         assert_eq!(json.get("ok").and_then(Json::as_bool), Some(true));
@@ -193,12 +233,27 @@ mod tests {
         let agg = json.get("aggregate").unwrap();
         assert_eq!(agg.get("requests").and_then(Json::as_f64), Some(6.0));
         assert!(agg.get("p95_us").and_then(Json::as_f64).unwrap() > 0.0);
+        for shard in shards {
+            assert_eq!(shard.get("worker_panics").and_then(Json::as_f64), Some(0.0));
+        }
+        let counters = json.get("frontend").expect("frontend counters");
+        for (key, want) in [
+            ("connections_open", 3.0),
+            ("connections_shed", 2.0),
+            ("handler_panics", 1.0),
+        ] {
+            assert_eq!(
+                counters.get(key).and_then(Json::as_f64),
+                Some(want),
+                "{key}"
+            );
+        }
     }
 
     #[test]
     fn drain_command_returns_the_action() {
         let r = router();
-        let (reply, action) = handle_control(&r, "{\"cmd\":\"drain\"}");
+        let (reply, action) = handle_control(&r, &FrontendStats::default(), "{\"cmd\":\"drain\"}");
         assert_eq!(action, ControlAction::Drain);
         let json = Json::parse(&reply).unwrap();
         assert_eq!(json.get("ok").and_then(Json::as_bool), Some(true));
@@ -210,7 +265,11 @@ mod tests {
     #[test]
     fn swap_reprogram_bumps_generation() {
         let r = router();
-        let (reply, action) = handle_control(&r, "{\"cmd\":\"swap\",\"mode\":\"reprogram\"}");
+        let (reply, action) = handle_control(
+            &r,
+            &FrontendStats::default(),
+            "{\"cmd\":\"swap\",\"mode\":\"reprogram\"}",
+        );
         assert_eq!(action, ControlAction::None);
         let json = Json::parse(&reply).unwrap();
         assert_eq!(json.get("ok").and_then(Json::as_bool), Some(true));
@@ -222,7 +281,7 @@ mod tests {
     fn swap_drift_validates_parameters() {
         let r = router();
         let good = "{\"cmd\":\"swap\",\"mode\":\"drift\",\"nu\":0.05,\"nu_sigma\":0.02,\"t0\":1.0,\"t\":10000.0}";
-        let (reply, _) = handle_control(&r, good);
+        let (reply, _) = handle_control(&r, &FrontendStats::default(), good);
         assert_eq!(
             Json::parse(&reply)
                 .unwrap()
@@ -242,7 +301,7 @@ mod tests {
             // Finite as f64, infinite after the f32 cast.
             "{\"cmd\":\"swap\",\"mode\":\"drift\",\"nu\":0.05,\"nu_sigma\":0,\"t0\":1,\"t\":1e60}",
         ] {
-            let (reply, _) = handle_control(&r, bad);
+            let (reply, _) = handle_control(&r, &FrontendStats::default(), bad);
             let json = Json::parse(&reply).unwrap();
             assert_eq!(json.get("ok").and_then(Json::as_bool), Some(false), "{bad}");
             assert!(json.get("error").and_then(Json::as_str).is_some(), "{bad}");
@@ -259,7 +318,7 @@ mod tests {
             "{\"cmd\":\"reboot\"}",
             "{\"cmd\":\"swap\"}",
         ] {
-            let (reply, action) = handle_control(&r, bad);
+            let (reply, action) = handle_control(&r, &FrontendStats::default(), bad);
             assert_eq!(action, ControlAction::None, "{bad}");
             let json = Json::parse(&reply).unwrap();
             assert_eq!(json.get("ok").and_then(Json::as_bool), Some(false), "{bad}");

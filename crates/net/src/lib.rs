@@ -12,11 +12,11 @@
 //!   length), f32 inference batches or JSON control text as payloads,
 //!   strict decoding with named errors, and a hard payload cap enforced
 //!   *before* any allocation — peer-supplied lengths are never trusted.
-//! - [`frontend`] — the TCP [`Frontend`]: one non-blocking acceptor, a
-//!   bounded connection-handler pool fed through an
-//!   [`AdmissionQueue`](cn_serve::AdmissionQueue), per-connection
-//!   read/write timeouts everywhere, and explicit backpressure frames
-//!   when shedding.
+//! - [`frontend`] — the TCP [`Frontend`]: an acceptor and a fixed pool
+//!   of event-driven handlers, each serving a set of non-blocking
+//!   connections from one `poll(2)` loop woken by socket readiness and
+//!   by reply wakers; idle and write deadlines on every connection, and
+//!   explicit backpressure frames when shedding.
 //! - [`control`] / [`loadgen`] — the JSON control plane
 //!   (`stats`/`drain`/`swap`) and the open/closed-loop load-generator
 //!   core behind the `cn-loadgen` binary.
@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod control;
+mod event;
 pub mod frame;
 pub mod frontend;
 pub mod loadgen;
@@ -36,7 +37,7 @@ pub mod loadgen;
 pub use cn_serve::{
     RouterConfig, RouterError, RouterState, RouterStats, RouterTicket, ShardRouter,
 };
-pub use control::{handle_control, stats_reply, ControlAction};
+pub use control::{handle_control, stats_reply, ControlAction, FrontendStats};
 pub use frame::{
     ErrorCode, Frame, FrameError, FrameReader, Payload, PollFrame, ReadFrameError,
     DEFAULT_MAX_PAYLOAD,

@@ -3,8 +3,10 @@
 //! client-side latency percentile report.
 //!
 //! Each connection runs on its own thread and interleaves sends with
-//! reply polling over one socket (timeouts bound every wait, so a stuck
-//! server cannot hang the generator past `drain_timeout`):
+//! reply polling over one socket. Every wait is bounded: a connection
+//! that makes no progress — no send, no reply — for `drain_timeout` while
+//! requests are outstanding gives up and reports them `lost`, so a stuck
+//! server cannot hang the generator.
 //!
 //! - **Closed loop** ([`Mode::Closed`]) keeps a fixed window of requests
 //!   outstanding per connection — throughput is whatever the server
@@ -14,18 +16,24 @@
 //!   under overload lands in the measured latency instead of silently
 //!   stretching the send schedule.
 //!
+//! Alongside the load, the generator can hold *bystander* sockets open:
+//! idle connections that never send ([`LoadgenConfig::idle_conns`]) and
+//! slow clients that trickle one header byte per 100 ms
+//! ([`LoadgenConfig::slow_clients`]) — the peers that must not be able to
+//! starve a server's real clients.
+//!
 //! Request payloads are deterministic in `(seed, request_id)` (see
 //! [`request_rows`]), so a test harness can recompute what any request
 //! contained and verify reply content end-to-end via
 //! [`LoadgenConfig::expect`].
 
-use crate::frame::{write_frame, ErrorCode, Frame, FrameReader, Payload, PollFrame};
+use crate::frame::{encode, write_frame, ErrorCode, Frame, FrameReader, Payload, PollFrame};
 use cn_serve::LatencyHistogram;
 use cn_tensor::SeededRng;
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -68,9 +76,15 @@ pub struct LoadgenConfig {
     pub read_timeout: Duration,
     /// Socket write timeout.
     pub write_timeout: Duration,
-    /// How long to wait for outstanding replies after the last send;
-    /// stragglers past this are reported as `lost`.
+    /// Longest a connection waits without progress (a send or a reply)
+    /// while requests are outstanding; the requests it has not had
+    /// answered by then, sent or not, are reported as `lost`.
     pub drain_timeout: Duration,
+    /// Extra connections held open for the run that never send a byte.
+    pub idle_conns: usize,
+    /// Extra connections held open for the run that each send one byte of
+    /// a frame header per 100 ms and never complete a frame.
+    pub slow_clients: usize,
     /// Optional reply-content verification hook.
     pub expect: Option<Arc<ExpectFn>>,
 }
@@ -84,6 +98,8 @@ impl std::fmt::Debug for LoadgenConfig {
             .field("sample_dims", &self.sample_dims)
             .field("mode", &self.mode)
             .field("seed", &self.seed)
+            .field("idle_conns", &self.idle_conns)
+            .field("slow_clients", &self.slow_clients)
             .field("expect", &self.expect.is_some())
             .finish_non_exhaustive()
     }
@@ -102,6 +118,8 @@ impl LoadgenConfig {
             read_timeout: Duration::from_millis(2),
             write_timeout: Duration::from_secs(5),
             drain_timeout: Duration::from_secs(10),
+            idle_conns: 0,
+            slow_clients: 0,
             expect: None,
         }
     }
@@ -124,7 +142,9 @@ pub struct LoadgenReport {
     pub mispaired: u64,
     /// Replies that failed the [`LoadgenConfig::expect`] content check.
     pub content_mismatched: u64,
-    /// Requests still unanswered when `drain_timeout` expired.
+    /// Requests not answered when their connection went `drain_timeout`
+    /// without progress, including requests the closed loop's window kept
+    /// it from sending.
     pub lost: u64,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
@@ -163,8 +183,9 @@ pub fn request_rows(seed: u64, request_id: u64, rows: usize, row_len: usize) -> 
 ///
 /// # Errors
 ///
-/// Fails only on setup errors (a connection that cannot be established);
-/// per-request failures are counted in the report instead.
+/// Fails only on setup errors (a connection that cannot be established,
+/// bystanders included); per-request failures are counted in the report
+/// instead.
 ///
 /// # Panics
 ///
@@ -173,6 +194,8 @@ pub fn run(addr: SocketAddr, config: &LoadgenConfig) -> io::Result<LoadgenReport
     assert!(config.connections > 0, "connections must be positive");
     assert!(config.requests > 0, "requests must be positive");
     assert!(config.batch_rows > 0, "batch_rows must be positive");
+    // Held open until the run returns.
+    let _bystanders = Bystanders::open(addr, config)?;
     let totals = Arc::new(Totals::default());
     let hist = Arc::new(LatencyHistogram::new());
     let started = Instant::now();
@@ -288,7 +311,9 @@ fn connection_loop(
         }
     };
 
-    // Send/receive phase.
+    // Progress is a send or a reply; with requests outstanding and none
+    // for `drain_timeout`, the connection gives up on what is left.
+    let mut last_progress = Instant::now();
     loop {
         if next >= ids.len() && pending.is_empty() {
             return; // everything sent and answered
@@ -315,6 +340,7 @@ fn connection_loop(
                     .fetch_add(pending.len() as u64 + unsent, Ordering::Relaxed);
                 return;
             }
+            last_progress = Instant::now();
             continue;
         }
         match poll_replies(&mut stream, &mut reader, &mut pending, config, totals, hist) {
@@ -325,8 +351,16 @@ fn connection_loop(
                     .fetch_add(pending.len() as u64 + unsent, Ordering::Relaxed);
                 return;
             }
-            Some(progressed) => {
-                if !progressed && open_loop {
+            Some(true) => last_progress = Instant::now(),
+            Some(false) => {
+                if !pending.is_empty() && last_progress.elapsed() >= config.drain_timeout {
+                    let unsent = (ids.len() - next) as u64;
+                    totals
+                        .lost
+                        .fetch_add(pending.len() as u64 + unsent, Ordering::Relaxed);
+                    return;
+                }
+                if open_loop {
                     // Nothing readable and nothing due: nap until the
                     // schedule's next send (capped so replies are still
                     // picked up promptly).
@@ -342,34 +376,87 @@ fn connection_loop(
                 }
             }
         }
-        if next >= ids.len() && !pending.is_empty() {
-            // Drain phase: all sent, bounded wait for stragglers.
-            let deadline = Instant::now() + config.drain_timeout;
-            while !pending.is_empty() && Instant::now() < deadline {
-                match poll_replies(&mut stream, &mut reader, &mut pending, config, totals, hist) {
-                    None => {
-                        let n = pending.len() as u64;
-                        totals.errored.fetch_add(n, Ordering::Relaxed);
-                        return;
-                    }
-                    Some(progressed) => {
-                        if !progressed && open_loop {
-                            std::thread::sleep(OPEN_POLL);
-                        }
-                    }
-                }
-            }
-            totals
-                .lost
-                .fetch_add(pending.len() as u64, Ordering::Relaxed);
-            return;
-        }
     }
 }
 
 /// How long an open-loop connection sleeps between reply polls when its
 /// schedule has nothing due.
 const OPEN_POLL: Duration = Duration::from_micros(100);
+
+/// How often a slow client sends its next byte.
+const SLOW_TICK: Duration = Duration::from_millis(100);
+
+/// The idle and slow-client sockets held open for a run. Dropping it
+/// stops the trickle and closes them all.
+struct Bystanders {
+    _idle: Vec<TcpStream>,
+    stop: Arc<AtomicBool>,
+    trickle: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Bystanders {
+    fn open(addr: SocketAddr, config: &LoadgenConfig) -> io::Result<Bystanders> {
+        let idle = (0..config.idle_conns)
+            .map(|_| TcpStream::connect(addr))
+            .collect::<io::Result<Vec<_>>>()?;
+        let slow = (0..config.slow_clients)
+            .map(|_| {
+                let stream = TcpStream::connect(addr)?;
+                // A server that stops reading must not block the trickle.
+                stream.set_nonblocking(true)?;
+                Ok(stream)
+            })
+            .collect::<io::Result<Vec<_>>>()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let trickle = if slow.is_empty() {
+            None
+        } else {
+            let stop = Arc::clone(&stop);
+            // cn-lint: allow(unbounded-thread-spawn, reason = "one trickle thread per run; joined when the run's Bystanders drop")
+            let handle = std::thread::Builder::new()
+                .name("cn-loadgen-slow".into())
+                .spawn(move || trickle(slow, &stop))
+                .expect("spawn slow-client thread");
+            Some(handle)
+        };
+        Ok(Bystanders {
+            _idle: idle,
+            stop,
+            trickle,
+        })
+    }
+}
+
+impl Drop for Bystanders {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        if let Some(handle) = self.trickle.take() {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// Sends each slow socket the next byte of a control frame every
+/// [`SLOW_TICK`] until `stop`. The frame declares a 4 KiB payload, so at
+/// this rate it would take minutes to complete. A socket the server has
+/// closed is left alone.
+fn trickle(slow: Vec<TcpStream>, stop: &AtomicBool) {
+    let frame = encode(&Frame::new(0, Payload::Control("\0".repeat(4096))));
+    let mut live: Vec<(TcpStream, usize)> = slow.into_iter().map(|s| (s, 0)).collect();
+    while !stop.load(Ordering::Relaxed) && !live.is_empty() {
+        live.retain_mut(
+            |(stream, sent)| match stream.write(&frame[*sent..*sent + 1]) {
+                Ok(1) => {
+                    *sent = (*sent + 1) % frame.len();
+                    true
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => true,
+                _ => false,
+            },
+        );
+        std::thread::sleep(SLOW_TICK);
+    }
+}
 
 /// Reads at most one frame, pairing it against `pending`. `None` means
 /// the connection is unusable (EOF with requests outstanding, I/O

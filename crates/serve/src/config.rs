@@ -5,15 +5,19 @@ use std::time::Duration;
 /// Configuration of one serving instance: admission bounds, the dynamic
 /// micro-batching policy and the worker pool size.
 ///
-/// The batcher coalesces queued requests until either `max_batch` requests
-/// are on hand or `max_wait` has elapsed since the batch started forming,
-/// whichever comes first — the classic throughput/latency trade-off knob
-/// of a dynamic-batching server.
+/// The batcher is work-conserving: a free worker takes whatever is queued,
+/// up to `max_batch` requests, and runs it at once. Requests that arrive
+/// while it executes form its next batch, so batches fill under load
+/// without a timer. Only right after a full batch — the shard is
+/// saturated — does the worker wait, for at most `max_wait`, for the next
+/// batch to fill.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Largest batch a worker executes at once (≥ 1).
     pub max_batch: usize,
-    /// Longest a partially filled batch waits for more requests.
+    /// Longest a worker waits for a batch to fill. It waits only right
+    /// after executing a full batch; otherwise it runs what is queued at
+    /// once.
     pub max_wait: Duration,
     /// Bound of the admission queue; submissions beyond it are rejected
     /// with [`ServeError::QueueFull`](crate::ServeError::QueueFull) so
@@ -26,7 +30,8 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// A config serving batches of up to `max_batch` with 2 workers, a
-    /// 2 ms coalescing window and a queue bound of `64 × max_batch`.
+    /// 2 ms fill wait after full batches and a queue bound of
+    /// `64 × max_batch`.
     ///
     /// # Panics
     ///
@@ -41,7 +46,7 @@ impl ServeConfig {
         }
     }
 
-    /// Sets the batch coalescing window.
+    /// Sets the longest wait for a batch to fill after a full batch.
     pub fn max_wait(mut self, wait: Duration) -> ServeConfig {
         self.max_wait = wait;
         self

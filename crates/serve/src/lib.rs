@@ -8,14 +8,18 @@
 //! 1. [`AdmissionQueue`] — a bounded queue turning overload into
 //!    backpressure ([`ServeError::QueueFull`]) instead of unbounded
 //!    memory.
-//! 2. The **dynamic batcher** — each worker pops a coalesced micro-batch
-//!    (up to `max_batch` requests or `max_wait` of waiting, whichever
-//!    comes first), trading a bounded latency hit for much higher
-//!    throughput than per-request inference.
+//! 2. The **dynamic batcher** — work-conserving: each worker takes
+//!    whatever is queued (up to `max_batch` requests) and runs it at once,
+//!    so a lone request never waits for company. Rows that arrive while a
+//!    batch executes form the next batch, so batches fill under load; only
+//!    right after a full batch does a worker wait (up to `max_wait`) for
+//!    the next one to fill.
 //! 3. [`Server`] workers — one [`Session`](cn_analog::engine::Session)
 //!    per worker thread, bound to a hot-swappable
 //!    [`CompiledModel`](cn_analog::engine::CompiledModel); per-row
-//!    replies are scattered back through per-request channels.
+//!    replies are scattered back through per-request reply slots, which
+//!    a [`Ticket`] either blocks on or registers a
+//!    [`Waker`](std::task::Waker) with.
 //! 4. [`ShardRouter`] — K independent analog deployments of the same
 //!    model, one [`Server`] each, behind one admission point. Callers
 //!    [`route`](ShardRouter::route) a request to one shard

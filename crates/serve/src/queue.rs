@@ -260,6 +260,25 @@ mod tests {
     }
 
     #[test]
+    fn close_flushes_a_forming_batch() {
+        // A consumer coalescing under a long window returns what it holds
+        // as soon as the queue closes: a drain never waits out max_wait.
+        let q = Arc::new(AdmissionQueue::new(8));
+        q.push(1u32).unwrap();
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                let started = Instant::now();
+                (q.pop_batch(4, Duration::from_secs(60)), started.elapsed())
+            })
+        };
+        q.close();
+        let (batch, waited) = consumer.join().unwrap();
+        assert_eq!(batch, vec![1]);
+        assert!(waited < Duration::from_secs(30), "waited {waited:?}");
+    }
+
+    #[test]
     fn blocked_consumer_wakes_on_close() {
         let q: Arc<AdmissionQueue<u32>> = Arc::new(AdmissionQueue::new(4));
         let consumer = {

@@ -184,6 +184,12 @@ impl RouterTicket {
     pub fn try_wait(&mut self) -> Option<Result<Reply, ServeError>> {
         self.ticket.try_wait()
     }
+
+    /// Wakes `waker` when the reply lands (at once if it already has);
+    /// see [`Ticket::register_waker`].
+    pub fn register_waker(&self, waker: &std::task::Waker) {
+        self.ticket.register_waker(waker);
+    }
 }
 
 /// The majority decision of a [`ShardRouter::vote`].

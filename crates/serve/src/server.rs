@@ -8,7 +8,8 @@ use cn_analog::engine::{CompiledModel, Session};
 use cn_tensor::Tensor;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::task::Waker;
+use std::time::{Duration, Instant};
 
 /// Why a request could not be served.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,11 +66,25 @@ pub struct Reply {
 /// mutex+condvar state machine; the client pre-allocates the logits
 /// buffer at submit time (sized from the instance's last observed reply
 /// width), so the worker only copies into warm client-owned memory.
+///
+/// A client that multiplexes many tickets on one thread (the network
+/// frontend) registers a [`Waker`] instead of blocking on the condvar;
+/// the worker wakes it after releasing the lock. Waking an `Arc`-backed
+/// waker only moves a reference count, so the worker stays
+/// allocation-free.
 #[derive(Debug)]
 struct ReplySlot {
     // cn-lint: allow(lock-in-hot-path, reason = "uncontended per-request oneshot held for a copy of one logits row; replaces an mpsc channel whose send allocated per reply")
-    state: Mutex<SlotState>,
+    inner: Mutex<SlotInner>,
     cv: Condvar,
+}
+
+/// What [`ReplySlot`]'s mutex guards: the slot's state and the waker of
+/// a client that asked to be told when it leaves `Pending`.
+#[derive(Debug)]
+struct SlotInner {
+    state: SlotState,
+    waker: Option<Waker>,
 }
 
 /// Lifecycle of one reply slot.
@@ -90,15 +105,18 @@ enum SlotState {
 impl ReplySlot {
     fn new(logits_capacity: usize) -> Arc<ReplySlot> {
         Arc::new(ReplySlot {
-            // cn-lint: allow(lock-in-hot-path, reason = "see ReplySlot::state — per-request oneshot, not a shared hot lock")
-            state: Mutex::new(SlotState::Pending(Vec::with_capacity(logits_capacity))),
+            // cn-lint: allow(lock-in-hot-path, reason = "see ReplySlot::inner — per-request oneshot, not a shared hot lock")
+            inner: Mutex::new(SlotInner {
+                state: SlotState::Pending(Vec::with_capacity(logits_capacity)),
+                waker: None,
+            }),
             cv: Condvar::new(),
         })
     }
 
     // cn-lint: allow(lock-in-hot-path, reason = "per-request oneshot slot: uncontended except for the one worker/client handoff")
-    fn lock(&self) -> std::sync::MutexGuard<'_, SlotState> {
-        self.state
+    fn lock(&self) -> std::sync::MutexGuard<'_, SlotInner> {
+        self.inner
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
@@ -108,30 +126,57 @@ impl ReplySlot {
     /// capacity (steady state; the first requests against a fresh
     /// instance arrive before the reply width is known and grow it once).
     fn fulfill(&self, row_logits: &[f32], class: usize, batch_size: usize) {
-        let mut state = self.lock();
-        if let SlotState::Pending(buf) = &mut *state {
+        let mut inner = self.lock();
+        if let SlotState::Pending(buf) = &mut inner.state {
             let mut logits = std::mem::take(buf);
             logits.clear();
             logits.extend_from_slice(row_logits);
-            *state = SlotState::Ready(Reply {
+            let reply = Reply {
                 logits,
                 class,
                 batch_size,
-            });
-            drop(state);
-            self.cv.notify_all();
+            };
+            self.settle(inner, SlotState::Ready(reply));
         }
         // Abandoned: the client left; nothing to deliver.
     }
 
     /// Either side: mark the slot abandoned if still pending, waking a
-    /// blocked waiter.
+    /// blocked or registered waiter.
     fn abandon(&self) {
-        let mut state = self.lock();
-        if matches!(*state, SlotState::Pending(_)) {
-            *state = SlotState::Abandoned;
-            drop(state);
-            self.cv.notify_all();
+        let inner = self.lock();
+        if matches!(inner.state, SlotState::Pending(_)) {
+            self.settle(inner, SlotState::Abandoned);
+        }
+    }
+
+    /// Moves a pending slot to `state`, then wakes its waiters once the
+    /// lock is released: the blocked one through the condvar, a
+    /// registered one through its waker.
+    // cn-lint: allow(lock-in-hot-path, reason = "takes the per-request oneshot guard from fulfill/abandon; no shared lock")
+    fn settle(&self, mut inner: std::sync::MutexGuard<'_, SlotInner>, state: SlotState) {
+        inner.state = state;
+        let waker = inner.waker.take();
+        drop(inner);
+        self.cv.notify_all();
+        if let Some(waker) = waker {
+            waker.wake();
+        }
+    }
+
+    /// Client side: have `waker` woken once the slot leaves `Pending`, or
+    /// at once if it already has — a reply that lands before the
+    /// registration is never missed.
+    fn register(&self, waker: &Waker) {
+        let mut inner = self.lock();
+        if matches!(inner.state, SlotState::Pending(_)) {
+            match &inner.waker {
+                Some(current) if current.will_wake(waker) => {}
+                _ => inner.waker = Some(waker.clone()),
+            }
+        } else {
+            drop(inner);
+            waker.wake_by_ref();
         }
     }
 }
@@ -149,11 +194,12 @@ impl Ticket {
     ///
     /// [`ServeError::WorkerGone`] if the executing worker panicked.
     pub fn wait(self) -> Result<Reply, ServeError> {
-        let mut state = self.slot.lock();
+        let mut inner = self.slot.lock();
         loop {
-            match &mut *state {
+            match &mut inner.state {
                 SlotState::Ready(_) => {
-                    let SlotState::Ready(reply) = std::mem::replace(&mut *state, SlotState::Taken)
+                    let SlotState::Ready(reply) =
+                        std::mem::replace(&mut inner.state, SlotState::Taken)
                     else {
                         unreachable!("matched Ready above");
                     };
@@ -161,10 +207,10 @@ impl Ticket {
                 }
                 SlotState::Abandoned | SlotState::Taken => return Err(ServeError::WorkerGone),
                 SlotState::Pending(_) => {
-                    state = self
+                    inner = self
                         .slot
                         .cv
-                        .wait(state)
+                        .wait(inner)
                         .unwrap_or_else(|poisoned| poisoned.into_inner());
                 }
             }
@@ -176,13 +222,15 @@ impl Ticket {
     /// Once this returns `Some`, the ticket is spent — further polls
     /// report [`ServeError::WorkerGone`] because the reply has been
     /// consumed. Network frontends use this to multiplex many in-flight
-    /// tickets over one connection-handler thread.
+    /// tickets over one connection-handler thread, with
+    /// [`register_waker`](Ticket::register_waker) telling them when to
+    /// poll again.
     pub fn try_wait(&mut self) -> Option<Result<Reply, ServeError>> {
-        let mut state = self.slot.lock();
-        match &mut *state {
+        let mut inner = self.slot.lock();
+        match &mut inner.state {
             SlotState::Pending(_) => None,
             SlotState::Ready(_) => {
-                let SlotState::Ready(reply) = std::mem::replace(&mut *state, SlotState::Taken)
+                let SlotState::Ready(reply) = std::mem::replace(&mut inner.state, SlotState::Taken)
                 else {
                     unreachable!("matched Ready above");
                 };
@@ -190,6 +238,15 @@ impl Ticket {
             }
             SlotState::Abandoned | SlotState::Taken => Some(Err(ServeError::WorkerGone)),
         }
+    }
+
+    /// Wakes `waker` once the reply lands or the request is lost, so a
+    /// thread multiplexing many tickets can sleep until one of them
+    /// completes and then [`try_wait`](Ticket::try_wait). If the reply has
+    /// already landed, `waker` is woken at once. Only the most recently
+    /// registered waker is kept; it fires at most once.
+    pub fn register_waker(&self, waker: &Waker) {
+        self.slot.register(waker);
     }
 }
 
@@ -236,9 +293,10 @@ struct Shared {
 ///
 /// Requests are admitted through a bounded queue; `workers` threads each
 /// own a [`Session`] bound to the instance's current [`CompiledModel`],
-/// coalesce queued requests into micro-batches (up to
-/// `max_batch`/`max_wait`), execute them, and scatter per-row replies back
-/// through per-request reply slots. [`install`](Server::install) hot-swaps
+/// take whatever is queued (up to `max_batch`) as one micro-batch,
+/// execute it, and scatter per-row replies back through per-request reply
+/// slots. A worker waits up to `max_wait` for a batch to fill only right
+/// after a full batch, when the shard is saturated. [`install`](Server::install) hot-swaps
 /// the deployment (e.g. after a drift-aware recompilation) without
 /// stopping traffic: workers rebind their session at the next batch
 /// boundary.
@@ -422,16 +480,16 @@ fn lock_slot(slot: &Mutex<Arc<CompiledModel>>) -> std::sync::MutexGuard<'_, Arc<
 
 /// The recycled per-worker memory: the coalesced batch, the staging
 /// tensor the batch is assembled into, and the dims scratch for reshaping
-/// it. All of it reaches its high-water size within the first few batches
-/// and is reused verbatim afterwards.
+/// it. All of it is sized for `max_batch` rows when the worker starts and
+/// reused verbatim afterwards.
 struct WorkerScratch {
     batch: Vec<Request>,
     stage: Tensor,
     dims: Vec<usize>,
 }
 
-/// The batcher/executor loop each worker thread runs: pop a coalesced
-/// batch, rebind to the latest deployment if it changed, assemble the
+/// The batcher/executor loop each worker thread runs: pop what is
+/// queued (coalescing for up to `max_wait` only after a full batch), rebind to the latest deployment if it changed, assemble the
 /// batch tensor, infer, scatter per-row replies, record stats.
 fn worker_loop(
     queue: &AdmissionQueue<Request>,
@@ -451,18 +509,33 @@ fn worker_loop(
         sample_dims,
         config.max_batch,
     );
+    // cn-lint: allow(alloc-in-hot-loop, reason = "grown once per worker at startup, before the steady-state loop")
+    let mut dims = Vec::with_capacity(sample_dims.len() + 1);
+    dims.push(config.max_batch);
+    dims.extend_from_slice(sample_dims);
     let mut scratch = WorkerScratch {
         // cn-lint: allow(alloc-in-hot-loop, reason = "grown once per worker at startup, before the steady-state loop")
         batch: Vec::with_capacity(config.max_batch),
-        stage: Tensor::zeros(&[0]),
-        // cn-lint: allow(alloc-in-hot-loop, reason = "grown once per worker at startup, before the steady-state loop")
-        dims: Vec::with_capacity(sample_dims.len() + 1),
+        // Staged at max_batch rows up front, so no batch size the queue
+        // can produce ever grows it.
+        stage: Tensor::zeros(&dims),
+        dims,
     };
+    // Work-conserving: take whatever is queued and run it at once; rows
+    // that arrive meanwhile form the next batch. Only a full batch says
+    // the shard is saturated, and only then is waiting up to `max_wait`
+    // for the next batch to fill worth its latency.
+    let mut wait = Duration::ZERO;
     loop {
-        queue.pop_batch_into(config.max_batch, config.max_wait, &mut scratch.batch);
+        queue.pop_batch_into(config.max_batch, wait, &mut scratch.batch);
         if scratch.batch.is_empty() {
             return; // closed and drained
         }
+        wait = if scratch.batch.len() == config.max_batch {
+            config.max_wait
+        } else {
+            Duration::ZERO
+        };
         // A panic while executing one batch must not kill the worker: a
         // dead thread silently shrinks the pool until the server stops
         // serving. The batch dies with the panic (its reply slots are

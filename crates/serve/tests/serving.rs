@@ -97,8 +97,9 @@ fn batches_never_exceed_max_batch_under_concurrent_load() {
 
 #[test]
 fn partial_batches_flush_after_max_wait() {
-    // max_batch far above the single queued request: only the max_wait
-    // timer can flush the batch.
+    // max_batch far above the single queued request: the batch can never
+    // fill, and no full batch came before it, so the worker runs it as it
+    // is instead of waiting for company.
     let server = Server::over(
         compiled_mlp(2),
         &[4],
@@ -111,7 +112,64 @@ fn partial_batches_flush_after_max_wait() {
     assert_eq!(reply.batch_size, 1, "nothing else queued: batch of one");
     assert!(
         started.elapsed() < Duration::from_secs(10),
-        "flush must come from the max_wait timer, not block forever"
+        "a partial batch must be flushed, not held forever"
+    );
+}
+
+#[test]
+fn lone_request_is_not_held_for_max_wait() {
+    // Work-conserving batcher: with nothing else queued a request runs at
+    // once. A batcher that waits out the window takes ≥ 200 ms for each.
+    let server = Server::over(
+        compiled_mlp(5),
+        &[4],
+        &ServeConfig::new(64)
+            .workers(1)
+            .max_wait(Duration::from_millis(200)),
+    );
+    let x = Tensor::zeros(&[4]);
+    // The first request also waits for the worker to plan its session.
+    server.classify(&x).unwrap();
+    let mut took: Vec<Duration> = (0..5)
+        .map(|_| {
+            let started = Instant::now();
+            let reply = server.classify(&x).unwrap();
+            assert_eq!(reply.batch_size, 1);
+            started.elapsed()
+        })
+        .collect();
+    took.sort();
+    // The median, so one scheduling hiccup on a loaded host cannot fail it.
+    assert!(
+        took[2] < Duration::from_millis(100),
+        "lone requests took {took:?} against a 200 ms max_wait"
+    );
+}
+
+#[test]
+fn pipelined_burst_still_fills_batches() {
+    // Far more rows than max_batch, submitted back to back: rows that
+    // queue while a batch executes form the next batch, so batches still
+    // fill under load without a coalescing timer.
+    let max_batch = 8;
+    let server = Server::over(
+        EngineBuilder::new(&mlp(&[64, 256, 256, 10], 6)).compile(),
+        &[64],
+        &ServeConfig::new(max_batch)
+            .workers(1)
+            .queue_capacity(1024)
+            .max_wait(Duration::from_millis(200)),
+    );
+    let x = SeededRng::new(7).normal_tensor(&[64], 0.0, 1.0);
+    let tickets: Vec<_> = (0..512).map(|_| server.submit(&x).unwrap()).collect();
+    let sizes: Vec<usize> = tickets
+        .into_iter()
+        .map(|t| t.wait().unwrap().batch_size)
+        .collect();
+    assert!(sizes.iter().all(|&n| (1..=max_batch).contains(&n)));
+    assert!(
+        sizes.contains(&max_batch),
+        "512 pipelined rows never produced a full batch of {max_batch}"
     );
 }
 

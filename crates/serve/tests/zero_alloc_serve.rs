@@ -1,7 +1,7 @@
 //! Allocation-count regression: the serve worker loop must perform
 //! **zero heap allocations per request** in steady state — plan once at
-//! the deployment shape, then batch, infer and reply out of warm
-//! buffers.
+//! the deployment shape, then batch, infer, reply and wake the client
+//! out of warm buffers.
 //!
 //! Dedicated test binary: installs [`CountingHeap`] as the global
 //! allocator and watches the `cn-serve-worker-*` thread counters from
@@ -14,6 +14,9 @@ use cn_nn::zoo::mlp;
 use cn_serve::{ServeConfig, Server};
 use cn_tensor::alloc::CountingHeap;
 use cn_tensor::SeededRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::task::{Wake, Waker};
 use std::time::Duration;
 
 #[global_allocator]
@@ -25,6 +28,19 @@ fn worker_allocs() -> u64 {
         .filter(|c| c.name().starts_with("cn-serve-worker"))
         .map(|c| c.allocs())
         .sum()
+}
+
+/// Counts wakes; waking it from the worker only moves reference counts.
+struct CountingWaker(AtomicUsize);
+
+impl Wake for CountingWaker {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 #[test]
@@ -46,22 +62,28 @@ fn steady_state_worker_loop_allocates_nothing() {
     let mut rng = SeededRng::new(4);
     let inputs: Vec<_> = (0..8).map(|_| rng.normal_tensor(&[16], 0.0, 1.0)).collect();
 
-    // One round = a pipelined full batch: all eight tickets in flight
-    // before any wait, so the worker coalesces them (max_wait is far
-    // longer than the submission gap) and its staging grows to the full
-    // deployment batch during warmup.
+    let wakes = Arc::new(CountingWaker(AtomicUsize::new(0)));
+    let waker = Waker::from(Arc::clone(&wakes));
+
+    // One round = eight pipelined tickets, each with a registered waker,
+    // so the worker's wake path is counted too. The batcher runs whatever
+    // is queued, so the rounds' batch sizes vary; the worker's staging is
+    // sized for max_batch at start-up, so no size can grow it.
     let round = || {
         let tickets: Vec<_> = inputs
             .iter()
             .map(|x| server.submit(x).expect("submit"))
             .collect();
+        for ticket in &tickets {
+            ticket.register_waker(&waker);
+        }
         for ticket in tickets {
             ticket.wait().expect("reply");
         }
     };
 
-    // Warmup: session plan + kernel scratch, batch staging, reply-width publish,
-    // GEMM panel scratch — all grown here, outside the contract.
+    // Warmup: session plan + kernel scratch, reply-width publish, GEMM
+    // panel scratch — all grown here, outside the contract.
     for _ in 0..4 {
         round();
     }
@@ -72,6 +94,11 @@ fn steady_state_worker_loop_allocates_nothing() {
     }
     let after = worker_allocs();
     assert_eq!(after - before, 0, "steady-state worker loop heap-allocated");
+    assert_eq!(
+        wakes.0.load(Ordering::Relaxed),
+        12 * inputs.len(),
+        "every registered waker fires exactly once"
+    );
 
     server.shutdown();
 }

@@ -57,7 +57,9 @@ fn main() {
         .collect();
 
     // Three independent σ=0.3 chips behind a majority-vote front, each
-    // serving micro-batches of up to 32 requests coalesced for ≤ 2 ms.
+    // serving micro-batches of up to 32 requests: whatever is queued runs
+    // at once, and only after a full batch does a worker wait (≤ 2 ms)
+    // for the next to fill.
     let config = ServeConfig::new(32)
         .max_wait(Duration::from_millis(2))
         .workers(2);
