@@ -13,7 +13,6 @@ use cn_serve::ServeConfig;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Duration;
 
 const SHARDS: [usize; 2] = [1, 4];
 const CONNECTIONS: usize = 4;
@@ -32,9 +31,7 @@ fn bench_net_throughput(c: &mut Criterion) {
     let model = edge_model();
     let mut group = c.benchmark_group("net_throughput_256_requests");
     for shards in SHARDS {
-        let serve = ServeConfig::new(8)
-            .max_wait(Duration::from_micros(200))
-            .workers(2);
+        let serve = ServeConfig::new(8).workers(2);
         let router = Arc::new(ShardRouter::new(
             &model,
             DigitalBackend,

@@ -1,18 +1,17 @@
 //! Load-generator benchmark of the dynamic-batching serving layer: two
-//! analog MLP-head shards fed round-robin by eight client threads. One
-//! iteration = 512 served requests, so the reported ns/iter divided by
-//! 512 is the steady-state per-request service time;
-//! `max_batch = 1` is the no-batching baseline the coalescing
-//! configurations are measured against.
+//! analog MLP-head shards behind `ShardRouter::route`, fed by eight
+//! pipelined client threads. One iteration = 512 served requests, so the
+//! reported ns/iter divided by 512 is the steady-state per-request
+//! service time; `max_batch = 1` is the no-batching baseline the
+//! coalescing configurations are measured against.
 
 use cn_analog::engine::AnalogBackend;
-use cn_serve::{RouterConfig, ServeConfig, ServeError, ShardRouter, Ticket};
+use cn_serve::{RouterConfig, RouterError, RouterTicket, ServeConfig, ShardRouter};
 use cn_tensor::{SeededRng, Tensor};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::collections::VecDeque;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
 const MAX_BATCHES: [usize; 3] = [1, 8, 32];
 const CLIENTS: usize = 8;
@@ -20,20 +19,16 @@ const WINDOW: usize = 32;
 const REQUESTS_PER_ITER: usize = 512;
 
 /// Pipelined load generator: each client keeps up to [`WINDOW`] tickets
-/// in flight so the batchers have requests to coalesce; `QueueFull` is
-/// backpressure (drain one reply, retry). Submissions rotate over the
-/// shards' servers rather than going through `ShardRouter::route`: this
-/// measures the batcher, and pick-two over two shards herds pipelined
-/// clients, whose unread replies count as load, onto one shard at a time.
+/// in flight so the batchers have requests to coalesce; `Overloaded` is
+/// backpressure (drain one reply, retry).
 fn drive(router: &ShardRouter, samples: &[Tensor]) -> usize {
     let next = AtomicUsize::new(0);
-    let rotation = AtomicUsize::new(0);
     let served = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..CLIENTS {
             scope.spawn(|| {
-                let mut inflight: VecDeque<Ticket> = VecDeque::new();
-                let drain = |inflight: &mut VecDeque<Ticket>| {
+                let mut inflight: VecDeque<RouterTicket> = VecDeque::new();
+                let drain = |inflight: &mut VecDeque<RouterTicket>| {
                     if let Some(ticket) = inflight.pop_front() {
                         black_box(ticket.wait().expect("worker reply").class);
                         served.fetch_add(1, Ordering::Relaxed);
@@ -48,10 +43,9 @@ fn drive(router: &ShardRouter, samples: &[Tensor]) -> usize {
                             break;
                         }
                         let ticket = loop {
-                            let shard = rotation.fetch_add(1, Ordering::Relaxed) % router.shards();
-                            match router.shard(shard).submit(&samples[i % samples.len()]) {
+                            match router.route(&samples[i % samples.len()]) {
                                 Ok(ticket) => break ticket,
-                                Err(ServeError::QueueFull) => {
+                                Err(RouterError::Overloaded) => {
                                     drain(&mut inflight);
                                     std::thread::yield_now();
                                 }
@@ -93,7 +87,6 @@ fn bench_serve_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("serve_throughput_512_requests");
     for max_batch in MAX_BATCHES {
         let config = ServeConfig::new(max_batch)
-            .max_wait(Duration::from_millis(2))
             .workers(2)
             .queue_capacity(64 * max_batch);
         let router = ShardRouter::new(

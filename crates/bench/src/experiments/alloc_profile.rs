@@ -28,7 +28,6 @@ use cn_serve::{ServeConfig, Server};
 use cn_tensor::alloc::{CountingHeap, ThreadAllocCounter};
 use cn_tensor::SeededRng;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Allocation-count profiler for the inference and serving hot paths.
 pub struct AllocProfile;
@@ -162,9 +161,7 @@ impl Experiment for AllocProfile {
         // whatever is queued. Counted on the worker threads.
         eprintln!("[alloc_profile] serve worker loop …");
         let head = mlp(&[16, 32, 8], 3);
-        let config = ServeConfig::new(8)
-            .workers(1)
-            .max_wait(Duration::from_millis(20));
+        let config = ServeConfig::new(8).workers(1);
         let server = Server::over(EngineBuilder::new(&head).compile(), &[16], &config);
         let inputs: Vec<_> = (0..8).map(|_| rng.normal_tensor(&[16], 0.0, 1.0)).collect();
         let round = || {

@@ -18,7 +18,6 @@ use cn_analog::engine::AnalogBackend;
 use cn_net::{Frontend, FrontendConfig, LoadgenConfig, Mode, RouterConfig, ShardRouter};
 use cn_serve::ServeConfig;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Network-serving regenerator.
 pub struct NetServing;
@@ -44,9 +43,7 @@ fn drive(
     seed: u64,
     load: &LoadgenConfig,
 ) -> cn_net::LoadgenReport {
-    let serve = ServeConfig::new(8)
-        .max_wait(Duration::from_millis(1))
-        .workers(2);
+    let serve = ServeConfig::new(8).workers(2);
     let router = Arc::new(ShardRouter::new(
         model,
         backend.clone(),

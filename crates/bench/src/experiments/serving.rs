@@ -20,13 +20,11 @@ use cn_nn::layers::{Dense, Flatten, Relu};
 use cn_nn::optim::Adam;
 use cn_nn::trainer::{TrainConfig, Trainer};
 use cn_nn::Sequential;
-use cn_serve::{
-    RouterConfig, RouterError, ServeConfig, ServeError, ServerStats, ShardRouter, Ticket,
-};
+use cn_serve::{RouterConfig, RouterError, RouterTicket, ServeConfig, ServerStats, ShardRouter};
 use cn_tensor::Tensor;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Serving-throughput regenerator.
 pub struct Serving;
@@ -37,7 +35,6 @@ const CLIENTS: usize = 16;
 /// In-flight tickets per pipelined client (the request window the
 /// batchers coalesce from).
 const WINDOW: usize = 64;
-const MAX_WAIT: Duration = Duration::from_millis(2);
 /// Field age (in drift-reference units) of the aged majority-vote shards.
 const DRIFT_T: f32 = 1.0e5;
 
@@ -49,23 +46,20 @@ struct LoadResult {
     stats: Vec<ServerStats>,
 }
 
-/// Pipelined round-robin load generator: [`CLIENTS`] threads each keep up
-/// to [`WINDOW`] tickets in flight, submitted to the shards' servers in
-/// rotation, so the shard batchers always have requests to coalesce.
-/// `QueueFull` is backpressure: the client drains one in-flight reply and
-/// retries. Rotation rather than [`ShardRouter::route`] keeps this a
-/// measurement of the batcher: pick-two herds pipelined clients, whose
-/// unread replies count as load, onto the momentarily lighter shard.
+/// Pipelined load generator: [`CLIENTS`] threads each keep up to
+/// [`WINDOW`] tickets in flight, submitted through
+/// [`ShardRouter::route`], so the shard batchers always have requests to
+/// coalesce. `Overloaded` is backpressure: the client drains one in-flight
+/// reply and retries.
 fn drive_pipelined(router: &ShardRouter, samples: &[(Tensor, usize)], total: usize) -> LoadResult {
     let next = AtomicUsize::new(0);
-    let rotation = AtomicUsize::new(0);
     let hits = AtomicUsize::new(0);
     let started = Instant::now();
     std::thread::scope(|scope| {
         for _ in 0..CLIENTS {
             scope.spawn(|| {
-                let mut inflight: VecDeque<(usize, Ticket)> = VecDeque::new();
-                let drain = |inflight: &mut VecDeque<(usize, Ticket)>| {
+                let mut inflight: VecDeque<(usize, RouterTicket)> = VecDeque::new();
+                let drain = |inflight: &mut VecDeque<(usize, RouterTicket)>| {
                     if let Some((label, ticket)) = inflight.pop_front() {
                         let reply = ticket.wait().expect("worker dropped a request");
                         if reply.class == label {
@@ -83,10 +77,9 @@ fn drive_pipelined(router: &ShardRouter, samples: &[(Tensor, usize)], total: usi
                         }
                         let (sample, label) = &samples[i % samples.len()];
                         let ticket = loop {
-                            let shard = rotation.fetch_add(1, Ordering::Relaxed) % router.shards();
-                            match router.shard(shard).submit(sample) {
+                            match router.route(sample) {
                                 Ok(ticket) => break ticket,
-                                Err(ServeError::QueueFull) => {
+                                Err(RouterError::Overloaded) => {
                                     drain(&mut inflight);
                                     std::thread::yield_now();
                                 }
@@ -207,7 +200,6 @@ impl Experiment for Serving {
         report.config_num("replicas", REPLICAS as f64);
         report.config_num("clients", CLIENTS as f64);
         report.config_num("requests", requests as f64);
-        report.config_num("max_wait_ms", MAX_WAIT.as_secs_f64() * 1000.0);
 
         let (model, data) = ctx.plain_base(Pair::LeNet5Mnist);
         let sample_dims = data.test.sample_dims().to_vec();
@@ -220,7 +212,7 @@ impl Experiment for Serving {
             .collect();
         let backend = AnalogBackend::lognormal(SIGMA);
 
-        // Throughput: round-robin shards serving the edge-sized MLP head,
+        // Throughput: routed shards serving the edge-sized MLP head,
         // per-request vs micro-batched.
         eprintln!("[serving] training the throughput workload head …");
         let mlp_head = throughput_model(&data, ctx.seed);
@@ -228,14 +220,13 @@ impl Experiment for Serving {
         let mut curve = Vec::new();
         let mut throughputs = Vec::new();
         for max_batch in [1usize, 32] {
-            eprintln!("[serving] round-robin load run, max_batch = {max_batch} …");
+            eprintln!("[serving] routed load run, max_batch = {max_batch} …");
             let config = RouterConfig::new(
                 ServeConfig::new(max_batch)
-                    .max_wait(MAX_WAIT)
                     .workers(2)
                     .queue_capacity(64 * max_batch),
             );
-            let rr_shards = || {
+            let shard_set = || {
                 ShardRouter::new(
                     &mlp_head,
                     backend.clone(),
@@ -247,10 +238,10 @@ impl Experiment for Serving {
             };
             // Warm up on a throwaway router, then measure on a fresh one so
             // the reported stats exclude cold-start latencies.
-            let warmup = rr_shards();
+            let warmup = shard_set();
             drive_pipelined(&warmup, &samples, requests / 8);
             warmup.shutdown();
-            let router = rr_shards();
+            let router = shard_set();
             let result = drive_pipelined(&router, &samples, requests);
             router.shutdown();
             let (p50, p95, p99, fill) = aggregate(&result.stats);
@@ -287,7 +278,7 @@ impl Experiment for Serving {
             throughputs[1] / throughputs[0].max(1e-9),
         );
         report.table(
-            "round-robin shards under load",
+            "routed shards under load",
             &[
                 "max_batch",
                 "req/s",
@@ -308,7 +299,7 @@ impl Experiment for Serving {
         // contribution to vote disagreement is isolated, not confounded
         // with a fresh variation draw.
         let majority_requests = requests / 8;
-        let config = RouterConfig::new(ServeConfig::new(32).max_wait(MAX_WAIT).workers(2));
+        let config = RouterConfig::new(ServeConfig::new(32).workers(2));
         let voting = || {
             ShardRouter::new(
                 &model,

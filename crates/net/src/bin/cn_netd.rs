@@ -13,7 +13,6 @@ use cn_nn::zoo::mlp;
 use cn_serve::ServeConfig;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
 const USAGE: &str = "\
 cn-netd — TCP frontend over a multi-shard CorrectNet serving fleet
@@ -28,11 +27,9 @@ OPTIONS:
                        the input width clients must send
     --shards N         independent serving shards (default 4)
     --workers N        worker threads per shard (default 2)
-    --max-batch N      rows coalesced per shard batch (default 8)
-    --max-wait-us N    longest a shard worker waits for a batch to fill,
-                       in microseconds (default 1000); it waits only
-                       right after a full batch, otherwise it runs what
-                       is queued at once
+    --max-batch N      most rows a shard worker runs as one batch
+                       (default 8); a free worker runs what is queued at
+                       once and never waits for a batch to fill
     --queue N          per-shard admission queue capacity (default 64)
     --handlers N       connection-handler pool size (default 4)
     --sigma S          deployment weight-variation sigma (default 0 =
@@ -49,7 +46,6 @@ struct Options {
     shards: usize,
     workers: usize,
     max_batch: usize,
-    max_wait_us: u64,
     queue: usize,
     handlers: usize,
     sigma: f32,
@@ -64,7 +60,6 @@ impl Default for Options {
             shards: 4,
             workers: 2,
             max_batch: 8,
-            max_wait_us: 1000,
             queue: 64,
             handlers: 4,
             sigma: 0.0,
@@ -82,6 +77,10 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         }
         let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
         let bad = |what: &str| format!("{flag}: `{value}` is not a valid {what}");
+        let count = || match value.parse::<usize>() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(bad("positive count")),
+        };
         match flag.as_str() {
             "--addr" => opts.addr = value.clone(),
             "--layers" => {
@@ -94,12 +93,11 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     return Err(format!("{flag}: need ≥ 2 positive widths"));
                 }
             }
-            "--shards" => opts.shards = value.parse().map_err(|_| bad("count"))?,
-            "--workers" => opts.workers = value.parse().map_err(|_| bad("count"))?,
-            "--max-batch" => opts.max_batch = value.parse().map_err(|_| bad("count"))?,
-            "--max-wait-us" => opts.max_wait_us = value.parse().map_err(|_| bad("count"))?,
-            "--queue" => opts.queue = value.parse().map_err(|_| bad("count"))?,
-            "--handlers" => opts.handlers = value.parse().map_err(|_| bad("count"))?,
+            "--shards" => opts.shards = count()?,
+            "--workers" => opts.workers = count()?,
+            "--max-batch" => opts.max_batch = count()?,
+            "--queue" => opts.queue = count()?,
+            "--handlers" => opts.handlers = count()?,
             "--sigma" => opts.sigma = value.parse().map_err(|_| bad("number"))?,
             "--seed" => opts.seed = value.parse().map_err(|_| bad("number"))?,
             other => return Err(format!("unknown flag `{other}`")),
@@ -124,7 +122,6 @@ fn main() -> ExitCode {
 
     let model = mlp(&opts.layers, opts.seed);
     let serve = ServeConfig::new(opts.max_batch)
-        .max_wait(Duration::from_micros(opts.max_wait_us))
         .queue_capacity(opts.queue)
         .workers(opts.workers);
     let config = RouterConfig::new(serve);
@@ -178,4 +175,52 @@ fn main() -> ExitCode {
     }
     println!("cn-netd drained; bye");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Options, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_options(&args)
+    }
+
+    #[test]
+    fn counts_parse() {
+        let opts = parse("--shards 3 --workers 1 --max-batch 16 --queue 32 --handlers 2").unwrap();
+        assert_eq!(
+            (
+                opts.shards,
+                opts.workers,
+                opts.max_batch,
+                opts.queue,
+                opts.handlers
+            ),
+            (3, 1, 16, 32, 2)
+        );
+    }
+
+    #[test]
+    fn zero_counts_are_usage_errors() {
+        for flag in [
+            "--shards",
+            "--workers",
+            "--max-batch",
+            "--queue",
+            "--handlers",
+        ] {
+            let err = parse(&format!("{flag} 0")).err().expect(flag);
+            assert!(
+                err.contains(flag) && err.contains("positive count"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn max_wait_is_an_unknown_flag() {
+        let err = parse("--max-wait-us 1000").err().expect("rejected");
+        assert_eq!(err, "unknown flag `--max-wait-us`");
+    }
 }

@@ -198,7 +198,6 @@ mod tests {
     use cn_nn::zoo::mlp;
     use cn_serve::{RouterConfig, ServeConfig};
     use cn_tensor::Tensor;
-    use std::time::Duration;
 
     fn router() -> ShardRouter {
         let model = mlp(&[4, 8, 3], 1);
@@ -208,7 +207,7 @@ mod tests {
             2,
             7,
             &[4],
-            &RouterConfig::new(ServeConfig::new(4).max_wait(Duration::from_millis(1))),
+            &RouterConfig::new(ServeConfig::new(4)),
         )
     }
 

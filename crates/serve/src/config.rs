@@ -2,23 +2,17 @@
 
 use std::time::Duration;
 
-/// Configuration of one serving instance: admission bounds, the dynamic
-/// micro-batching policy and the worker pool size.
+/// Configuration of one serving instance: admission bounds, the batch
+/// size and the worker pool size.
 ///
 /// The batcher is work-conserving: a free worker takes whatever is queued,
 /// up to `max_batch` requests, and runs it at once. Requests that arrive
 /// while it executes form its next batch, so batches fill under load
-/// without a timer. Only right after a full batch — the shard is
-/// saturated — does the worker wait, for at most `max_wait`, for the next
-/// batch to fill.
+/// without a timer, and a worker never waits while it holds a batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Largest batch a worker executes at once (≥ 1).
     pub max_batch: usize,
-    /// Longest a worker waits for a batch to fill. It waits only right
-    /// after executing a full batch; otherwise it runs what is queued at
-    /// once.
-    pub max_wait: Duration,
     /// Bound of the admission queue; submissions beyond it are rejected
     /// with [`ServeError::QueueFull`](crate::ServeError::QueueFull) so
     /// overload turns into backpressure instead of unbounded memory.
@@ -29,9 +23,8 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A config serving batches of up to `max_batch` with 2 workers, a
-    /// 2 ms fill wait after full batches and a queue bound of
-    /// `64 × max_batch`.
+    /// A config serving batches of up to `max_batch` with 2 workers and a
+    /// queue bound of `64 × max_batch`.
     ///
     /// # Panics
     ///
@@ -40,15 +33,15 @@ impl ServeConfig {
         assert!(max_batch > 0, "max_batch must be positive");
         ServeConfig {
             max_batch,
-            max_wait: Duration::from_millis(2),
             queue_capacity: 64 * max_batch,
             workers: 2,
         }
     }
 
-    /// Sets the longest wait for a batch to fill after a full batch.
-    pub fn max_wait(mut self, wait: Duration) -> ServeConfig {
-        self.max_wait = wait;
+    /// Does nothing: the batcher never waits for a batch to fill, so there
+    /// is no fill window to set. Kept only so existing callers still
+    /// compile; it will be removed.
+    pub fn max_wait(self, _wait: Duration) -> ServeConfig {
         self
     }
 
@@ -87,14 +80,11 @@ mod tests {
 
     #[test]
     fn builder_round_trips() {
-        let cfg = ServeConfig::new(8)
-            .max_wait(Duration::from_millis(5))
-            .queue_capacity(100)
-            .workers(3);
+        let cfg = ServeConfig::new(8).queue_capacity(100).workers(3);
         assert_eq!(cfg.max_batch, 8);
-        assert_eq!(cfg.max_wait, Duration::from_millis(5));
         assert_eq!(cfg.queue_capacity, 100);
         assert_eq!(cfg.workers, 3);
+        assert_eq!(cfg.clone().max_wait(Duration::from_millis(5)), cfg);
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //! 2. The **dynamic batcher** — work-conserving: each worker takes
 //!    whatever is queued (up to `max_batch` requests) and runs it at once,
 //!    so a lone request never waits for company. Rows that arrive while a
-//!    batch executes form the next batch, so batches fill under load; only
-//!    right after a full batch does a worker wait (up to `max_wait`) for
-//!    the next one to fill.
+//!    batch executes form the next batch, so batches fill under load
+//!    without a timer.
 //! 3. [`Server`] workers — one [`Session`](cn_analog::engine::Session)
 //!    per worker thread, bound to a hot-swappable
 //!    [`CompiledModel`](cn_analog::engine::CompiledModel); per-row

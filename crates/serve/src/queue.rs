@@ -1,15 +1,15 @@
 //! The bounded admission queue feeding the dynamic batcher.
 //!
 //! A [`AdmissionQueue`] is a capacity-bounded MPMC queue with one extra
-//! primitive the batcher needs: [`pop_batch`](AdmissionQueue::pop_batch)
-//! blocks for the first item, then keeps coalescing until `max_batch`
-//! items are on hand or `max_wait` has elapsed. Closing the queue rejects
-//! new pushes but lets consumers drain everything already admitted, so a
-//! shutdown never drops an accepted request.
+//! primitive the batcher needs:
+//! [`pop_batch_into`](AdmissionQueue::pop_batch_into) blocks for the first
+//! item, then takes whatever else is queued, up to `max_batch` items,
+//! without waiting for more. Closing the queue rejects new pushes but lets
+//! consumers drain everything already admitted, so a shutdown never drops
+//! an accepted request.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
 
 /// Why a push was refused.
 #[derive(Debug, PartialEq, Eq)]
@@ -76,39 +76,23 @@ impl<T> AdmissionQueue<T> {
         Ok(())
     }
 
-    /// Pops a coalesced batch: blocks until at least one item is
-    /// available, then keeps draining until `max_batch` items are
-    /// collected or `max_wait` has elapsed since the batch started
-    /// forming. Returns an empty vector only when the queue is closed and
-    /// fully drained — the consumer's shutdown signal.
+    /// Pops a batch into a caller-owned vector: blocks until at least
+    /// one item is available, then takes whatever is queued, up to
+    /// `max_batch` items, without waiting for more. `batch` is cleared and
+    /// refilled, reusing its capacity, so a long-lived consumer (a
+    /// batching worker) that passes the same vector every iteration
+    /// allocates nothing here once the vector has grown to `max_batch`.
+    /// `batch` is left empty exactly when the queue is closed and fully
+    /// drained — the consumer's shutdown signal.
     ///
     /// # Panics
     ///
     /// Panics if `max_batch` is zero.
-    pub fn pop_batch(&self, max_batch: usize, max_wait: Duration) -> Vec<T> {
-        let mut batch = Vec::new();
-        self.pop_batch_into(max_batch, max_wait, &mut batch);
-        batch
-    }
-
-    /// [`pop_batch`](AdmissionQueue::pop_batch) into a caller-owned
-    /// vector: `batch` is cleared and refilled, reusing its capacity.
-    /// A long-lived consumer (a batching worker) that passes the same
-    /// vector every iteration allocates nothing here once the vector has
-    /// grown to `max_batch`. `batch` is left empty exactly when the queue
-    /// is closed and fully drained.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_batch` is zero.
-    pub fn pop_batch_into(&self, max_batch: usize, max_wait: Duration, batch: &mut Vec<T>) {
+    pub fn pop_batch_into(&self, max_batch: usize, batch: &mut Vec<T>) {
         assert!(max_batch > 0, "max_batch must be positive");
         batch.clear();
         let mut inner = self.lock();
-        loop {
-            if !inner.items.is_empty() {
-                break;
-            }
+        while inner.items.is_empty() {
             if inner.closed {
                 return;
             }
@@ -117,31 +101,8 @@ impl<T> AdmissionQueue<T> {
                 .wait(inner)
                 .unwrap_or_else(|poisoned| poisoned.into_inner());
         }
-        batch.reserve(max_batch.min(inner.items.len()));
-        let deadline = Instant::now() + max_wait;
-        loop {
-            while batch.len() < max_batch {
-                match inner.items.pop_front() {
-                    Some(item) => batch.push(item),
-                    None => break,
-                }
-            }
-            if batch.len() >= max_batch || inner.closed {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, timeout) = self
-                .not_empty
-                .wait_timeout(inner, deadline - now)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            inner = guard;
-            if timeout.timed_out() && inner.items.is_empty() {
-                break;
-            }
-        }
+        let take = max_batch.min(inner.items.len());
+        batch.extend(inner.items.drain(..take));
         drop(inner);
         // Items may remain (e.g. a burst larger than max_batch); make sure
         // another consumer wakes up for them.
@@ -170,14 +131,20 @@ impl<T> AdmissionQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
+
+    fn pop(q: &AdmissionQueue<u32>, max_batch: usize) -> Vec<u32> {
+        let mut batch = Vec::new();
+        q.pop_batch_into(max_batch, &mut batch);
+        batch
+    }
 
     #[test]
     fn push_pop_round_trip() {
         let q = AdmissionQueue::new(4);
         q.push(1).unwrap();
         q.push(2).unwrap();
-        let batch = q.pop_batch(8, Duration::from_millis(1));
-        assert_eq!(batch, vec![1, 2]);
+        assert_eq!(pop(&q, 8), vec![1, 2]);
     }
 
     #[test]
@@ -186,7 +153,7 @@ mod tests {
         q.push(1).unwrap();
         q.push(2).unwrap();
         assert_eq!(q.push(3), Err(PushError::Full(3)));
-        q.pop_batch(1, Duration::ZERO);
+        pop(&q, 1);
         q.push(3).unwrap();
     }
 
@@ -196,8 +163,8 @@ mod tests {
         q.push(7).unwrap();
         q.close();
         assert_eq!(q.push(8), Err(PushError::Closed(8)));
-        assert_eq!(q.pop_batch(4, Duration::ZERO), vec![7]);
-        assert!(q.pop_batch(4, Duration::ZERO).is_empty());
+        assert_eq!(pop(&q, 4), vec![7]);
+        assert!(pop(&q, 4).is_empty());
     }
 
     #[test]
@@ -206,35 +173,8 @@ mod tests {
         for i in 0..10 {
             q.push(i).unwrap();
         }
-        let batch = q.pop_batch(4, Duration::ZERO);
-        assert_eq!(batch.len(), 4);
+        assert_eq!(pop(&q, 4).len(), 4);
         assert_eq!(q.len(), 6);
-    }
-
-    #[test]
-    fn pop_batch_waits_for_late_arrivals() {
-        let q = Arc::new(AdmissionQueue::new(8));
-        q.push(0).unwrap();
-        let producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(5));
-                q.push(1).unwrap();
-            })
-        };
-        let batch = q.pop_batch(2, Duration::from_secs(5));
-        producer.join().unwrap();
-        assert_eq!(batch, vec![0, 1]);
-    }
-
-    #[test]
-    fn pop_batch_flushes_partial_batch_on_timeout() {
-        let q: AdmissionQueue<u32> = AdmissionQueue::new(8);
-        q.push(9).unwrap();
-        let start = Instant::now();
-        let batch = q.pop_batch(4, Duration::from_millis(20));
-        assert_eq!(batch, vec![9]);
-        assert!(start.elapsed() < Duration::from_secs(5));
     }
 
     #[test]
@@ -245,37 +185,18 @@ mod tests {
             for i in 0..4 {
                 q.push(round * 10 + i).unwrap();
             }
-            q.pop_batch_into(4, Duration::ZERO, &mut batch);
+            q.pop_batch_into(4, &mut batch);
             assert_eq!(batch.len(), 4, "round {round}");
         }
         let cap = batch.capacity();
         for i in 0..4 {
             q.push(i).unwrap();
         }
-        q.pop_batch_into(4, Duration::ZERO, &mut batch);
+        q.pop_batch_into(4, &mut batch);
         assert_eq!(batch.capacity(), cap, "warm vector was reallocated");
         q.close();
-        q.pop_batch_into(4, Duration::ZERO, &mut batch);
+        q.pop_batch_into(4, &mut batch);
         assert!(batch.is_empty(), "closed+drained must leave batch empty");
-    }
-
-    #[test]
-    fn close_flushes_a_forming_batch() {
-        // A consumer coalescing under a long window returns what it holds
-        // as soon as the queue closes: a drain never waits out max_wait.
-        let q = Arc::new(AdmissionQueue::new(8));
-        q.push(1u32).unwrap();
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let started = Instant::now();
-                (q.pop_batch(4, Duration::from_secs(60)), started.elapsed())
-            })
-        };
-        q.close();
-        let (batch, waited) = consumer.join().unwrap();
-        assert_eq!(batch, vec![1]);
-        assert!(waited < Duration::from_secs(30), "waited {waited:?}");
     }
 
     #[test]
@@ -283,7 +204,7 @@ mod tests {
         let q: Arc<AdmissionQueue<u32>> = Arc::new(AdmissionQueue::new(4));
         let consumer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop_batch(4, Duration::from_secs(60)))
+            std::thread::spawn(move || pop(&q, 4))
         };
         std::thread::sleep(Duration::from_millis(5));
         q.close();

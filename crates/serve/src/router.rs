@@ -585,7 +585,6 @@ mod tests {
     use super::*;
     use cn_analog::engine::DigitalBackend;
     use cn_nn::zoo::mlp;
-    use std::time::Duration;
 
     fn router(shards: usize, config: RouterConfig) -> ShardRouter {
         let model = mlp(&[4, 8, 3], 1);
@@ -593,7 +592,7 @@ mod tests {
     }
 
     fn quick_config() -> RouterConfig {
-        RouterConfig::new(ServeConfig::new(8).max_wait(Duration::from_millis(1)))
+        RouterConfig::new(ServeConfig::new(8))
     }
 
     #[test]

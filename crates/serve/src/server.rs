@@ -9,7 +9,7 @@ use cn_tensor::Tensor;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::task::Waker;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Why a request could not be served.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -295,8 +295,8 @@ struct Shared {
 /// own a [`Session`] bound to the instance's current [`CompiledModel`],
 /// take whatever is queued (up to `max_batch`) as one micro-batch,
 /// execute it, and scatter per-row replies back through per-request reply
-/// slots. A worker waits up to `max_wait` for a batch to fill only right
-/// after a full batch, when the shard is saturated. [`install`](Server::install) hot-swaps
+/// slots. A worker never waits for a batch to fill: rows that arrive
+/// while it executes form its next batch. [`install`](Server::install) hot-swaps
 /// the deployment (e.g. after a drift-aware recompilation) without
 /// stopping traffic: workers rebind their session at the next batch
 /// boundary.
@@ -437,9 +437,9 @@ impl Server {
         &self.config
     }
 
-    /// Number of requests admitted but not yet popped by a worker — the
-    /// router's load signal (execution-stage requests are *not* counted;
-    /// pair with an external in-flight counter for total load).
+    /// Number of requests admitted but not yet popped by a worker.
+    /// Requests in an executing batch are not counted; the shard router
+    /// balances on its own in-flight counter instead.
     pub fn queue_depth(&self) -> usize {
         self.queue.len()
     }
@@ -489,7 +489,7 @@ struct WorkerScratch {
 }
 
 /// The batcher/executor loop each worker thread runs: pop what is
-/// queued (coalescing for up to `max_wait` only after a full batch), rebind to the latest deployment if it changed, assemble the
+/// queued, rebind to the latest deployment if it changed, assemble the
 /// batch tensor, infer, scatter per-row replies, record stats.
 fn worker_loop(
     queue: &AdmissionQueue<Request>,
@@ -522,20 +522,12 @@ fn worker_loop(
         dims,
     };
     // Work-conserving: take whatever is queued and run it at once; rows
-    // that arrive meanwhile form the next batch. Only a full batch says
-    // the shard is saturated, and only then is waiting up to `max_wait`
-    // for the next batch to fill worth its latency.
-    let mut wait = Duration::ZERO;
+    // that arrive meanwhile form the next batch.
     loop {
-        queue.pop_batch_into(config.max_batch, wait, &mut scratch.batch);
+        queue.pop_batch_into(config.max_batch, &mut scratch.batch);
         if scratch.batch.is_empty() {
             return; // closed and drained
         }
-        wait = if scratch.batch.len() == config.max_batch {
-            config.max_wait
-        } else {
-            Duration::ZERO
-        };
         // A panic while executing one batch must not kill the worker: a
         // dead thread silently shrinks the pool until the server stops
         // serving. The batch dies with the panic (its reply slots are
@@ -658,7 +650,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_admitted_requests() {
-        let srv = server(&ServeConfig::new(8).max_wait(Duration::from_millis(1)));
+        let srv = server(&ServeConfig::new(8));
         let x = Tensor::zeros(&[4]);
         let tickets: Vec<Ticket> = (0..50).map(|_| srv.submit(&x).unwrap()).collect();
         srv.shutdown();
@@ -679,7 +671,7 @@ mod tests {
 
     #[test]
     fn try_wait_polls_without_blocking() {
-        let srv = server(&ServeConfig::new(4).max_wait(Duration::from_millis(1)));
+        let srv = server(&ServeConfig::new(4));
         let mut ticket = srv.submit(&Tensor::zeros(&[4])).unwrap();
         // Poll until the reply lands; the first polls may see None.
         let reply = loop {
@@ -698,7 +690,7 @@ mod tests {
 
     #[test]
     fn dropped_ticket_does_not_wedge_the_worker() {
-        let srv = server(&ServeConfig::new(2).max_wait(Duration::from_millis(1)));
+        let srv = server(&ServeConfig::new(2));
         let x = Tensor::zeros(&[4]);
         drop(srv.submit(&x).unwrap());
         // The worker skips the abandoned slot and keeps serving.
@@ -708,7 +700,7 @@ mod tests {
 
     #[test]
     fn reply_width_is_published_after_first_batch() {
-        let srv = server(&ServeConfig::new(2).max_wait(Duration::from_millis(1)));
+        let srv = server(&ServeConfig::new(2));
         assert_eq!(srv.shared.reply_width.load(Ordering::Relaxed), 0);
         srv.classify(&Tensor::zeros(&[4])).unwrap();
         assert_eq!(srv.shared.reply_width.load(Ordering::Relaxed), 3);
@@ -716,7 +708,7 @@ mod tests {
 
     #[test]
     fn close_drains_then_rejects() {
-        let srv = server(&ServeConfig::new(8).max_wait(Duration::from_millis(1)));
+        let srv = server(&ServeConfig::new(8));
         let x = Tensor::zeros(&[4]);
         let tickets: Vec<Ticket> = (0..20).map(|_| srv.submit(&x).unwrap()).collect();
         srv.close();

@@ -53,9 +53,7 @@ fn batches_never_exceed_max_batch_under_concurrent_load() {
     let server = Arc::new(Server::over(
         compiled_mlp(1),
         &[4],
-        &ServeConfig::new(4)
-            .workers(2)
-            .max_wait(Duration::from_millis(2)),
+        &ServeConfig::new(4).workers(2),
     ));
     let observed_max = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
@@ -98,15 +96,8 @@ fn batches_never_exceed_max_batch_under_concurrent_load() {
 #[test]
 fn partial_batches_flush_after_max_wait() {
     // max_batch far above the single queued request: the batch can never
-    // fill, and no full batch came before it, so the worker runs it as it
-    // is instead of waiting for company.
-    let server = Server::over(
-        compiled_mlp(2),
-        &[4],
-        &ServeConfig::new(64)
-            .workers(1)
-            .max_wait(Duration::from_millis(10)),
-    );
+    // fill, and the worker runs it as it is instead of waiting for company.
+    let server = Server::over(compiled_mlp(2), &[4], &ServeConfig::new(64).workers(1));
     let started = Instant::now();
     let reply = server.classify(&Tensor::zeros(&[4])).unwrap();
     assert_eq!(reply.batch_size, 1, "nothing else queued: batch of one");
@@ -119,14 +110,9 @@ fn partial_batches_flush_after_max_wait() {
 #[test]
 fn lone_request_is_not_held_for_max_wait() {
     // Work-conserving batcher: with nothing else queued a request runs at
-    // once. A batcher that waits out the window takes ≥ 200 ms for each.
-    let server = Server::over(
-        compiled_mlp(5),
-        &[4],
-        &ServeConfig::new(64)
-            .workers(1)
-            .max_wait(Duration::from_millis(200)),
-    );
+    // once. A batcher that waited out a fill window would take that long
+    // for each.
+    let server = Server::over(compiled_mlp(5), &[4], &ServeConfig::new(64).workers(1));
     let x = Tensor::zeros(&[4]);
     // The first request also waits for the worker to plan its session.
     server.classify(&x).unwrap();
@@ -142,7 +128,54 @@ fn lone_request_is_not_held_for_max_wait() {
     // The median, so one scheduling hiccup on a loaded host cannot fail it.
     assert!(
         took[2] < Duration::from_millis(100),
-        "lone requests took {took:?} against a 200 ms max_wait"
+        "lone requests took {took:?}"
+    );
+}
+
+#[test]
+fn lone_request_after_a_full_batch_is_not_held() {
+    // A full batch does not open a fill window either: a lone request
+    // that follows one runs at once. `max_wait` is kept only as a no-op
+    // setter, so the 200 ms it asks for must not show up.
+    let server = Server::over(
+        EngineBuilder::new(&mlp(&[64, 2048, 2048, 10], 8)).compile(),
+        &[64],
+        &ServeConfig::new(2)
+            .workers(1)
+            .max_wait(Duration::from_millis(200)),
+    );
+    let x = SeededRng::new(9).normal_tensor(&[64], 0.0, 1.0);
+    server.classify(&x).unwrap();
+    let mut took = Vec::new();
+    for _ in 0..200 {
+        // Submit B and C while A executes, so that [B, C] runs as one
+        // full batch. A round where A finished before C was queued did
+        // not produce one and is not counted.
+        let a = server.submit(&x).unwrap();
+        while server.queue_depth() > 0 {
+            std::thread::yield_now();
+        }
+        let b = server.submit(&x).unwrap();
+        let c = server.submit(&x).unwrap();
+        a.wait().unwrap();
+        let full = b.wait().unwrap().batch_size == 2;
+        c.wait().unwrap();
+        let started = Instant::now();
+        let d = server.classify(&x).unwrap();
+        if full {
+            assert_eq!(d.batch_size, 1, "D was submitted alone");
+            took.push(started.elapsed());
+            if took.len() == 5 {
+                break;
+            }
+        }
+    }
+    assert_eq!(took.len(), 5, "too few rounds ran [B, C] as a full batch");
+    took.sort();
+    // The median, so one scheduling hiccup on a loaded host cannot fail it.
+    assert!(
+        took[2] < Duration::from_millis(100),
+        "a lone request after a full batch took {took:?}"
     );
 }
 
@@ -155,10 +188,7 @@ fn pipelined_burst_still_fills_batches() {
     let server = Server::over(
         EngineBuilder::new(&mlp(&[64, 256, 256, 10], 6)).compile(),
         &[64],
-        &ServeConfig::new(max_batch)
-            .workers(1)
-            .queue_capacity(1024)
-            .max_wait(Duration::from_millis(200)),
+        &ServeConfig::new(max_batch).workers(1).queue_capacity(1024),
     );
     let x = SeededRng::new(7).normal_tensor(&[64], 0.0, 1.0);
     let tickets: Vec<_> = (0..512).map(|_| server.submit(&x).unwrap()).collect();
@@ -180,9 +210,7 @@ fn no_request_is_dropped_and_every_reply_matches_its_input() {
     let server = Arc::new(Server::over(
         compiled_mlp(3),
         &[4],
-        &ServeConfig::new(8)
-            .workers(3)
-            .max_wait(Duration::from_millis(1)),
+        &ServeConfig::new(8).workers(3),
     ));
     let reference = compiled_mlp(3);
     std::thread::scope(|scope| {
@@ -218,10 +246,7 @@ fn queue_overload_turns_into_backpressure() {
     let server = Server::over(
         compiled_mlp(4),
         &[4],
-        &ServeConfig::new(1)
-            .workers(1)
-            .queue_capacity(2)
-            .max_wait(Duration::from_millis(50)),
+        &ServeConfig::new(1).workers(1).queue_capacity(2),
     );
     let x = Tensor::zeros(&[4]);
     // Flood far beyond the queue bound; some submissions must be rejected
@@ -246,9 +271,7 @@ fn queue_overload_turns_into_backpressure() {
 
 #[test]
 fn fleet_majority_vote_on_rigged_instances() {
-    let config = ServeConfig::new(4)
-        .workers(1)
-        .max_wait(Duration::from_millis(1));
+    let config = ServeConfig::new(4).workers(1);
     let router = rigged_router(&[2, 2, 0], &config);
     let x = SeededRng::new(5).normal_tensor(&[4], 0.0, 1.0);
     for _ in 0..10 {
@@ -268,9 +291,7 @@ fn fleet_majority_vote_on_rigged_instances() {
 
 #[test]
 fn round_robin_rotates_across_instances() {
-    let config = ServeConfig::new(2)
-        .workers(1)
-        .max_wait(Duration::from_millis(1));
+    let config = ServeConfig::new(2).workers(1);
     let router = rigged_router(&[0, 1, 2], &config);
     let x = Tensor::zeros(&[4]);
     // Waiting for each reply leaves every shard idle, so pick-two's first
@@ -286,9 +307,7 @@ fn round_robin_rotates_across_instances() {
 #[test]
 fn drift_recompilation_swaps_deployments_without_stopping_traffic() {
     let model = mlp(&[4, 16, 3], 9);
-    let config = ServeConfig::new(4)
-        .workers(1)
-        .max_wait(Duration::from_millis(1));
+    let config = ServeConfig::new(4).workers(1);
     let router = ShardRouter::new(
         &model,
         AnalogBackend::lognormal(0.3),
@@ -323,7 +342,7 @@ fn digital_fleet_matches_direct_inference() {
         3,
         21,
         &[4],
-        &RouterConfig::new(ServeConfig::new(4).max_wait(Duration::from_millis(1))),
+        &RouterConfig::new(ServeConfig::new(4)),
     );
     let mut rng = SeededRng::new(22);
     for _ in 0..10 {

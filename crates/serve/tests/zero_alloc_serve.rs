@@ -17,7 +17,6 @@ use cn_tensor::SeededRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Wake, Waker};
-use std::time::Duration;
 
 #[global_allocator]
 static ALLOC: CountingHeap = CountingHeap::new();
@@ -55,9 +54,7 @@ fn steady_state_worker_loop_allocates_nothing() {
 
     let model = mlp(&[16, 32, 8], 3);
     let compiled = EngineBuilder::new(&model).compile();
-    let config = ServeConfig::new(8)
-        .workers(1)
-        .max_wait(Duration::from_millis(20));
+    let config = ServeConfig::new(8).workers(1);
     let server = Server::over(compiled, &[16], &config);
     let mut rng = SeededRng::new(4);
     let inputs: Vec<_> = (0..8).map(|_| rng.normal_tensor(&[16], 0.0, 1.0)).collect();
@@ -94,11 +91,14 @@ fn steady_state_worker_loop_allocates_nothing() {
     }
     let after = worker_allocs();
     assert_eq!(after - before, 0, "steady-state worker loop heap-allocated");
+
+    // A worker wakes the waker after it releases the reply slot, so a
+    // client can read its reply before the wake; joining the workers
+    // first makes the count final.
+    server.shutdown();
     assert_eq!(
         wakes.0.load(Ordering::Relaxed),
         12 * inputs.len(),
         "every registered waker fires exactly once"
     );
-
-    server.shutdown();
 }

@@ -8,7 +8,6 @@
 
 use correctnet_repro::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
 const REQUESTS: usize = 512;
 const CLIENTS: usize = 8;
@@ -57,12 +56,9 @@ fn main() {
         .collect();
 
     // Three independent σ=0.3 chips behind a majority-vote front, each
-    // serving micro-batches of up to 32 requests: whatever is queued runs
-    // at once, and only after a full batch does a worker wait (≤ 2 ms)
-    // for the next to fill.
-    let config = ServeConfig::new(32)
-        .max_wait(Duration::from_millis(2))
-        .workers(2);
+    // serving micro-batches of up to 32 requests: a free worker runs
+    // whatever is queued at once and never waits for a batch to fill.
+    let config = ServeConfig::new(32).workers(2);
     let router = ShardRouter::new(
         &model,
         AnalogBackend::lognormal(0.3),
