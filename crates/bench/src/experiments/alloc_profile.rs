@@ -6,14 +6,15 @@
 //!
 //! The hard *zero allocations per request* contract is pinned by the
 //! dedicated test binaries (`cn-analog/tests/zero_alloc_infer.rs`,
-//! `cn-serve/tests/zero_alloc_serve.rs`), which force `CN_THREADS=1`
-//! before the first tensor op. This experiment is the observability
-//! side of the same harness: it reports allocs/request at whatever
-//! thread count the process runs with, so a regression shows up as a
-//! number, not just a failed assertion. With more than one GEMM thread
-//! the fan-out path hands work to `thread::scope`, which allocates by
-//! design — the report stamps the thread count so the numbers stay
-//! interpretable.
+//! `cn-serve/tests/zero_alloc_serve.rs`). This experiment is the
+//! observability side of the same harness: it reports allocs/request at
+//! whatever thread count the process runs with, so a regression shows up
+//! as a number, not just a failed assertion. The serve-worker row is zero
+//! at any `CN_THREADS`: serve workers are `cn_tensor::parallel` workers,
+//! so their 32-row batches run inline. Only the calling-thread (engine)
+//! rows fan out with more than one GEMM thread, handing work to
+//! `thread::scope`, which allocates by design — the report stamps the
+//! thread count so those numbers stay interpretable.
 //!
 //! Counting requires the binary to install [`CountingHeap`] as its
 //! global allocator; `cn-experiments` does. When it is absent (e.g. a
@@ -156,14 +157,16 @@ impl Experiment for AllocProfile {
             batches,
         );
 
-        // Serve path: one worker over a small MLP head; each round
-        // pipelines eight requests, which the worker runs in batches of
-        // whatever is queued. Counted on the worker threads.
+        // Serve path: one worker over a small MLP head at max_batch 32;
+        // each round pipelines 32 requests, which the worker runs in
+        // batches of whatever is queued. Counted on the worker threads.
         eprintln!("[alloc_profile] serve worker loop …");
         let head = mlp(&[16, 32, 8], 3);
-        let config = ServeConfig::new(8).workers(1);
+        let config = ServeConfig::new(32).workers(1);
         let server = Server::over(EngineBuilder::new(&head).compile(), &[16], &config);
-        let inputs: Vec<_> = (0..8).map(|_| rng.normal_tensor(&[16], 0.0, 1.0)).collect();
+        let inputs: Vec<_> = (0..32)
+            .map(|_| rng.normal_tensor(&[16], 0.0, 1.0))
+            .collect();
         let round = || {
             let tickets: Vec<_> = inputs
                 .iter()
@@ -184,7 +187,7 @@ impl Experiment for AllocProfile {
         server.shutdown();
         row(
             &mut report,
-            "serve worker loop",
+            "serve worker loop (max_batch 32)",
             "serve_worker",
             a1 - a0,
             b1 - b0,
@@ -196,15 +199,18 @@ impl Experiment for AllocProfile {
             &["path", "requests", "allocs", "allocs/req", "bytes"],
             rows,
         );
+        report.note("The serve worker row is contractually zero at any thread count:");
+        report.note("serve workers never fan out (zero_alloc_serve pins it).");
         if threads == 1 {
-            report.note("Single-thread run: every allocs/req above is contractually zero;");
-            report.note("nonzero means the zero-alloc refactor regressed (the test binaries");
-            report.note("zero_alloc_infer / zero_alloc_serve pin the same contract).");
+            report.note("Single-thread run: the engine rows are contractually zero too;");
+            report.note("nonzero means the zero-alloc refactor regressed (zero_alloc_infer");
+            report.note("pins the same contract).");
         } else {
             report.note(format!(
-                "{threads} GEMM threads: fan-out hands work to thread::scope, which"
+                "{threads} GEMM threads: the engine rows run on the calling thread, whose"
             ));
-            report.note("allocates by design. Set CN_THREADS=1 to check the zero contract.");
+            report.note("fan-out hands work to thread::scope, which allocates by design.");
+            report.note("Set CN_THREADS=1 to check their zero contract.");
         }
         report
     }

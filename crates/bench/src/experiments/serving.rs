@@ -20,7 +20,7 @@ use cn_nn::layers::{Dense, Flatten, Relu};
 use cn_nn::optim::Adam;
 use cn_nn::trainer::{TrainConfig, Trainer};
 use cn_nn::Sequential;
-use cn_serve::{RouterConfig, RouterError, RouterTicket, ServeConfig, ServerStats, ShardRouter};
+use cn_serve::{RouterConfig, RouterError, RouterStats, RouterTicket, ServeConfig, ShardRouter};
 use cn_tensor::Tensor;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -39,24 +39,35 @@ const WINDOW: usize = 64;
 const DRIFT_T: f32 = 1.0e5;
 
 /// Outcome of one load-generator run.
-struct LoadResult {
-    throughput_rps: f64,
-    hits: usize,
-    total: usize,
-    stats: Vec<ServerStats>,
+pub struct LoadResult {
+    /// Served requests per second of wall clock.
+    pub throughput_rps: f64,
+    /// Replies whose class matched the sample's label.
+    pub hits: usize,
+    /// Requests served.
+    pub total: usize,
+    /// The router's stats after the run.
+    pub stats: RouterStats,
 }
 
-/// Pipelined load generator: [`CLIENTS`] threads each keep up to
-/// [`WINDOW`] tickets in flight, submitted through
-/// [`ShardRouter::route`], so the shard batchers always have requests to
-/// coalesce. `Overloaded` is backpressure: the client drains one in-flight
-/// reply and retries.
-fn drive_pipelined(router: &ShardRouter, samples: &[(Tensor, usize)], total: usize) -> LoadResult {
+/// Pipelined load generator: `clients` threads each keep up to `window`
+/// tickets in flight, submitted through [`ShardRouter::route`], so the
+/// shard batchers always have requests to coalesce. `Overloaded` is
+/// backpressure: the client drains one in-flight reply and retries.
+/// Serves `total` requests, cycling through `samples` (sample, label);
+/// panics on any serving error other than backpressure.
+pub fn drive_pipelined(
+    router: &ShardRouter,
+    samples: &[(Tensor, usize)],
+    total: usize,
+    clients: usize,
+    window: usize,
+) -> LoadResult {
     let next = AtomicUsize::new(0);
     let hits = AtomicUsize::new(0);
     let started = Instant::now();
     std::thread::scope(|scope| {
-        for _ in 0..CLIENTS {
+        for _ in 0..clients {
             scope.spawn(|| {
                 let mut inflight: VecDeque<(usize, RouterTicket)> = VecDeque::new();
                 let drain = |inflight: &mut VecDeque<(usize, RouterTicket)>| {
@@ -69,7 +80,7 @@ fn drive_pipelined(router: &ShardRouter, samples: &[(Tensor, usize)], total: usi
                 };
                 let mut exhausted = false;
                 while !exhausted || !inflight.is_empty() {
-                    while !exhausted && inflight.len() < WINDOW {
+                    while !exhausted && inflight.len() < window {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= total {
                             exhausted = true;
@@ -98,7 +109,7 @@ fn drive_pipelined(router: &ShardRouter, samples: &[(Tensor, usize)], total: usi
         throughput_rps: total as f64 / elapsed,
         hits: hits.load(Ordering::Relaxed),
         total,
-        stats: router.stats().shards,
+        stats: router.stats(),
     }
 }
 
@@ -135,7 +146,7 @@ fn drive(router: &ShardRouter, samples: &[(Tensor, usize)], total: usize) -> Loa
         throughput_rps: total as f64 / elapsed,
         hits: hits.load(Ordering::Relaxed),
         total,
-        stats: router.stats().shards,
+        stats: router.stats(),
     }
 }
 
@@ -160,24 +171,6 @@ fn throughput_model(data: &TrainTest, seed: u64) -> Sequential {
         &mut Adam::new(2e-3),
     );
     model
-}
-
-/// Requests-weighted aggregate of per-shard stats:
-/// (p50 ms, p95 ms, p99 ms, batch fill).
-fn aggregate(stats: &[ServerStats]) -> (f64, f64, f64, f64) {
-    let total: f64 = stats.iter().map(|s| s.requests as f64).sum();
-    if total == 0.0 {
-        return (0.0, 0.0, 0.0, 0.0);
-    }
-    let weighted = |f: &dyn Fn(&ServerStats) -> f64| -> f64 {
-        stats.iter().map(|s| s.requests as f64 * f(s)).sum::<f64>() / total
-    };
-    (
-        weighted(&|s| s.p50_us) / 1000.0,
-        weighted(&|s| s.p95_us) / 1000.0,
-        weighted(&|s| s.p99_us) / 1000.0,
-        weighted(&|s| s.batch_fill),
-    )
 }
 
 impl Experiment for Serving {
@@ -239,12 +232,19 @@ impl Experiment for Serving {
             // Warm up on a throwaway router, then measure on a fresh one so
             // the reported stats exclude cold-start latencies.
             let warmup = shard_set();
-            drive_pipelined(&warmup, &samples, requests / 8);
+            drive_pipelined(&warmup, &samples, requests / 8, CLIENTS, WINDOW);
             warmup.shutdown();
             let router = shard_set();
-            let result = drive_pipelined(&router, &samples, requests);
+            let result = drive_pipelined(&router, &samples, requests, CLIENTS, WINDOW);
             router.shutdown();
-            let (p50, p95, p99, fill) = aggregate(&result.stats);
+            let (served, _, p50, p95, p99) = result.stats.aggregate();
+            let [p50, p95, p99] = [p50, p95, p99].map(|us| us / 1000.0);
+            let shards = &result.stats.shards;
+            let filled: f64 = shards
+                .iter()
+                .map(|s| s.requests as f64 * s.batch_fill)
+                .sum();
+            let fill = filled / served.max(1) as f64;
             report.metric(
                 &format!("throughput_rps_b{max_batch}"),
                 result.throughput_rps,

@@ -7,8 +7,9 @@
 //! wraps each iteration's work in `std::panic::catch_unwind` and counts
 //! the panic instead of dying.
 //!
-//! This rule finds long-lived pool threads — `thread::Builder::spawn`
-//! (or `thread::spawn`) whose closure contains an unconditional
+//! This rule finds long-lived pool threads — `thread::Builder::spawn`,
+//! `thread::spawn` or `cn_tensor::parallel::spawn_worker` (the serve
+//! workers' spawn helper) whose closure contains an unconditional
 //! `loop { … }` — with no `catch_unwind` anywhere in the closure or in
 //! same-file functions it calls (one level deep). `while`/`for` loops
 //! don't fire: a bounded loop dying with its thread is ordinary
@@ -73,13 +74,19 @@ fn spawn_site(e: &Expr) -> Option<(usize, &Expr)> {
         } if name == "spawn" && chain_mentions_builder(recv) => {
             args.first().map(|w| (*name_tok, w))
         }
-        // thread::spawn(closure) / std::thread::spawn(closure)
         Expr::Call { callee, args } => match callee.as_ref() {
+            // thread::spawn(closure) / std::thread::spawn(closure)
             Expr::Path { segs, last_tok, .. }
                 if segs.last().map(String::as_str) == Some("spawn")
                     && segs.iter().any(|s| s == "thread") =>
             {
                 args.first().map(|w| (*last_tok, w))
+            }
+            // parallel::spawn_worker(name, closure)
+            Expr::Path { segs, last_tok, .. }
+                if segs.last().map(String::as_str) == Some("spawn_worker") =>
+            {
+                args.last().map(|w| (*last_tok, w))
             }
             _ => None,
         },

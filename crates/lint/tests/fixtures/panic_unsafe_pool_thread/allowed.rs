@@ -34,3 +34,23 @@ fn start_watched(shared: &Shared) -> std::thread::JoinHandle<()> {
         shared.tick();
     })
 }
+
+fn start_workers(shared: &Shared) -> Vec<std::thread::JoinHandle<()>> {
+    (0..2)
+        .map(|w| {
+            parallel::spawn_worker(format!("worker-{w}"), move || worker_loop(shared))
+                .expect("spawn worker")
+        })
+        .collect()
+}
+
+fn worker_loop(shared: &Shared) {
+    loop {
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            shared.run_batch();
+        }));
+        if unwound.is_err() {
+            shared.panics.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}

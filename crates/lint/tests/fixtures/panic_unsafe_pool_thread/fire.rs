@@ -28,3 +28,14 @@ fn start_inline(shared: &Shared) -> std::thread::JoinHandle<()> {
         shared.tick();
     })
 }
+
+fn start_workers(shared: &Shared) -> Vec<std::thread::JoinHandle<()>> {
+    (0..2)
+        .map(|w| {
+            parallel::spawn_worker(format!("worker-{w}"), move || loop { //~ panic-unsafe-pool-thread
+                shared.run_batch();
+            })
+            .expect("spawn worker")
+        })
+        .collect()
+}

@@ -25,8 +25,8 @@ LOAD OPTIONS:
     --mode closed|open traffic discipline (default closed)
     --window N         closed loop: outstanding requests per connection
                        (default 4)
-    --qps Q            open loop: aggregate target request rate
-                       (default 1000)
+    --qps Q            open loop: aggregate target request rate, finite
+                       and > 0 (default 1000)
     --seed N           payload seed (default 0)
     --idle-conns N     also hold N connections open that never send
                        (default 0)
@@ -63,11 +63,15 @@ fn parse_load(args: &[String]) -> Result<(SocketAddr, LoadgenConfig), String> {
         }
         let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
         let bad = |what: &str| format!("{flag}: `{value}` is not a valid {what}");
+        let positive = || match value.parse::<usize>() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(bad("positive count")),
+        };
         match flag.as_str() {
             "--addr" => addr = Some(resolve(value)?),
-            "--connections" => config.connections = value.parse().map_err(|_| bad("count"))?,
-            "--requests" => config.requests = value.parse().map_err(|_| bad("count"))?,
-            "--batch-rows" => config.batch_rows = value.parse().map_err(|_| bad("count"))?,
+            "--connections" => config.connections = positive()?,
+            "--requests" => config.requests = positive()?,
+            "--batch-rows" => config.batch_rows = positive()?,
             "--dims" => {
                 config.sample_dims = value
                     .split(',')
@@ -79,8 +83,13 @@ fn parse_load(args: &[String]) -> Result<(SocketAddr, LoadgenConfig), String> {
                 }
             }
             "--mode" => mode = value.clone(),
-            "--window" => window = value.parse().map_err(|_| bad("count"))?,
-            "--qps" => qps = value.parse().map_err(|_| bad("rate"))?,
+            "--window" => window = positive()?,
+            "--qps" => {
+                qps = match value.parse::<f64>() {
+                    Ok(q) if q.is_finite() && q > 0.0 => q,
+                    _ => return Err(bad("positive finite rate")),
+                }
+            }
             "--seed" => config.seed = value.parse().map_err(|_| bad("number"))?,
             "--idle-conns" => config.idle_conns = value.parse().map_err(|_| bad("count"))?,
             "--slow-clients" => config.slow_clients = value.parse().map_err(|_| bad("count"))?,
@@ -198,5 +207,37 @@ fn main() -> ExitCode {
             eprintln!("cn-loadgen: {message}\n\n{USAGE}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<(SocketAddr, LoadgenConfig), String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_load(&args)
+    }
+
+    #[test]
+    fn zero_counts_are_usage_errors() {
+        for flag in ["--requests", "--connections", "--batch-rows", "--window"] {
+            let err = parse(&format!("--addr 127.0.0.1:1 {flag} 0")).expect_err(flag);
+            assert!(
+                err.contains(flag) && err.contains("positive count"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn qps_must_be_positive_and_finite() {
+        for value in ["0", "-5", "nan", "inf"] {
+            let err =
+                parse(&format!("--addr 127.0.0.1:1 --mode open --qps {value}")).expect_err(value);
+            assert!(err.contains("positive finite rate"), "{err}");
+        }
+        let (_, config) = parse("--addr 127.0.0.1:1 --mode open --qps 250").unwrap();
+        assert_eq!(config.mode, Mode::Open { qps: 250.0 });
     }
 }

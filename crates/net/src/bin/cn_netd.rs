@@ -32,8 +32,8 @@ OPTIONS:
                        once and never waits for a batch to fill
     --queue N          per-shard admission queue capacity (default 64)
     --handlers N       connection-handler pool size (default 4)
-    --sigma S          deployment weight-variation sigma (default 0 =
-                       exact digital backend)
+    --sigma S          deployment weight-variation sigma, finite and
+                       ≥ 0 (default 0 = exact digital backend)
     --seed N           deployment seed (default 7)
     -h, --help         print this help
 
@@ -98,7 +98,12 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--max-batch" => opts.max_batch = count()?,
             "--queue" => opts.queue = count()?,
             "--handlers" => opts.handlers = count()?,
-            "--sigma" => opts.sigma = value.parse().map_err(|_| bad("number"))?,
+            "--sigma" => {
+                opts.sigma = match value.parse::<f32>() {
+                    Ok(s) if s.is_finite() && s >= 0.0 => s,
+                    _ => return Err(bad("finite non-negative sigma")),
+                }
+            }
             "--seed" => opts.seed = value.parse().map_err(|_| bad("number"))?,
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -216,6 +221,16 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    #[test]
+    fn sigma_must_be_finite_and_non_negative() {
+        for value in ["nan", "-1", "inf", "-inf"] {
+            let err = parse(&format!("--sigma {value}")).err().expect(value);
+            assert!(err.contains("finite non-negative sigma"), "{err}");
+        }
+        assert_eq!(parse("--sigma 0").unwrap().sigma, 0.0);
+        assert_eq!(parse("--sigma 0.5").unwrap().sigma, 0.5);
     }
 
     #[test]

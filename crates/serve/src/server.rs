@@ -5,7 +5,7 @@ use crate::config::ServeConfig;
 use crate::queue::{AdmissionQueue, PushError};
 use crate::stats::{ServerStats, StatsCollector};
 use cn_analog::engine::{CompiledModel, Session};
-use cn_tensor::Tensor;
+use cn_tensor::{parallel, Tensor};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::task::Waker;
@@ -301,9 +301,16 @@ struct Shared {
 /// stopping traffic: workers rebind their session at the next batch
 /// boundary.
 ///
-/// The worker loop is allocation-free in the steady state: batch staging,
-/// session scratch, prediction buffers and reply payloads all live in
-/// pre-sized, recycled memory (see `run_batch`).
+/// The workers are the outer fan-out. They are spawned through
+/// [`cn_tensor::parallel::spawn_worker`], so the kernels a batch runs stay
+/// on the worker's own thread however many rows it holds. Size `workers`
+/// to the cores the instance should occupy; a conv model wants `workers`
+/// = cores.
+///
+/// The worker loop is allocation-free in the steady state at any
+/// `CN_THREADS`: batch staging, session scratch, prediction buffers and
+/// reply payloads all live in pre-sized, recycled memory (see
+/// `run_batch`).
 ///
 /// Dropping the server closes the queue, drains already-admitted
 /// requests and joins the workers.
@@ -342,11 +349,10 @@ impl Server {
                 let shared = Arc::clone(&shared);
                 let cfg = config.clone();
                 let dims = sample_dims.to_vec();
-                // cn-lint: allow(unbounded-thread-spawn, reason = "bounded by config.workers; joined in shutdown_in_place")
-                std::thread::Builder::new()
-                    .name(format!("cn-serve-worker-{w}"))
-                    .spawn(move || worker_loop(&queue, &shared, &cfg, &dims))
-                    .expect("spawn serving worker")
+                parallel::spawn_worker(format!("cn-serve-worker-{w}"), move || {
+                    worker_loop(&queue, &shared, &cfg, &dims)
+                })
+                .expect("spawn serving worker")
             })
             .collect();
         Server {

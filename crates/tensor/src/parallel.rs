@@ -7,10 +7,12 @@
 //!
 //! Parallelism is **one level deep**: a thread spawned by this module runs
 //! any nested [`parallel_chunks_mut`] / [`parallel_ranges`] call inline.
-//! The outermost fan-out (for example one Monte-Carlo deployment per
-//! worker) already occupies every core, so kernels called from inside it
-//! spawning `num_threads()` more scoped threads per call would only
-//! oversubscribe the machine.
+//! The outermost fan-out (one Monte-Carlo deployment per scoped worker,
+//! or one serving batch per long-lived [`spawn_worker`] thread) already
+//! occupies every core, so kernels called from inside it spawning
+//! `num_threads()` more scoped threads per call would only oversubscribe
+//! the machine. Only the calling threads this module did not spawn (the
+//! main thread of a training run, say) fan out.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -131,6 +133,26 @@ pub fn parallel_ranges(n: usize, f: impl Fn(usize, usize) + Sync) {
     });
 }
 
+/// Spawns a long-lived named thread that runs kernels, such as a
+/// serving worker, marked as a worker of this module: every
+/// [`parallel_chunks_mut`] / [`parallel_ranges`] call it makes runs
+/// inline. A pool of such threads is itself the outer fan-out, so size
+/// the pool to the cores it should occupy.
+///
+/// # Errors
+///
+/// Fails when the OS cannot create the thread.
+pub fn spawn_worker<T, F>(name: String, f: F) -> std::io::Result<std::thread::JoinHandle<T>>
+where
+    F: FnOnce() -> T + Send + 'static,
+    T: Send + 'static,
+{
+    std::thread::Builder::new().name(name).spawn(move || {
+        IN_WORKER.with(|w| w.set(true));
+        f()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,6 +240,29 @@ mod tests {
         });
         assert!(outer.iter().all(|&s| s == 64));
         assert_eq!(*foreign.lock().unwrap(), Vec::<&str>::new());
+    }
+
+    /// A `spawn_worker` thread is a worker too: the kernels it calls run
+    /// every chunk and range on its own thread.
+    #[test]
+    fn spawn_worker_threads_run_nested_calls_inline() {
+        use std::sync::Mutex;
+        let handle = spawn_worker("parallel-test-worker".to_string(), || {
+            let seen = Mutex::new(Vec::new());
+            let mut v = vec![0u32; 64];
+            parallel_chunks_mut(&mut v, 1, |_, x| {
+                x[0] = 1;
+                seen.lock().unwrap().push(std::thread::current().id());
+            });
+            parallel_ranges(64, |_, _| {
+                seen.lock().unwrap().push(std::thread::current().id());
+            });
+            let me = std::thread::current().id();
+            let seen = seen.into_inner().unwrap();
+            (v.iter().sum::<u32>(), seen.iter().all(|&id| id == me))
+        })
+        .expect("spawn worker");
+        assert_eq!(handle.join().unwrap(), (64, true));
     }
 
     /// Regression: chunk processing used to spawn one OS thread *per
