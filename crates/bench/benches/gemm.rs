@@ -5,9 +5,12 @@
 //! `CN_THREADS=1` is pinned before any kernel runs so the numbers reflect
 //! single-thread throughput (the acceptance bar is ≥2× over the seed
 //! kernel at 512³); the same sweep parallelizes identically on both
-//! sides.
+//! sides. The `parallel_dispatch` group times one `cn_tensor::parallel`
+//! fan-out; it runs inline unless the bench is started with
+//! `CN_THREADS=2` (or more).
 
 use cn_tensor::ops::{gemm_bias_act, Activation, Layout, PackedB};
+use cn_tensor::parallel::parallel_chunks_mut;
 use cn_tensor::{SeededRng, Tensor};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -107,6 +110,34 @@ fn bench_prepacked_fused(c: &mut Criterion) {
     group.finish();
 }
 
+/// The fixed cost of a fan-out: a two-chunk call with nothing to do, and
+/// a 64 K-float add split into two chunks.
+fn bench_parallel_dispatch(c: &mut Criterion) {
+    const LEN: usize = 1 << 16;
+    let mut group = c.benchmark_group("parallel_dispatch");
+    let mut empty = [0u8; 2];
+    group.bench_function("empty_2_chunks", |bench| {
+        bench.iter(|| {
+            parallel_chunks_mut(&mut empty, 1, |i, chunk| {
+                black_box((i, chunk));
+            })
+        });
+    });
+    let src = vec![1.0f32; LEN];
+    let mut dst = vec![0.0f32; LEN];
+    group.bench_function("add_64k", |bench| {
+        bench.iter(|| {
+            parallel_chunks_mut(&mut dst, LEN / 2, |i, chunk| {
+                for (d, s) in chunk.iter_mut().zip(&src[i * LEN / 2..]) {
+                    *d += s;
+                }
+            });
+            black_box(&dst);
+        });
+    });
+    group.finish();
+}
+
 fn quick_criterion() -> Criterion {
     // Pin the kernels to one worker before the thread count is first
     // cached; set CN_THREADS externally to observe parallel scaling.
@@ -122,6 +153,6 @@ fn quick_criterion() -> Criterion {
 criterion_group! {
     name = benches;
     config = quick_criterion();
-    targets = bench_seed_kernel, bench_packed_gemm, bench_prepacked_fused
+    targets = bench_seed_kernel, bench_packed_gemm, bench_prepacked_fused, bench_parallel_dispatch
 }
 criterion_main!(benches);

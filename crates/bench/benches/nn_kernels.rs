@@ -1,10 +1,16 @@
 //! Neural-network kernel benchmarks: matmul, conv2d forward/backward at
-//! the shapes the experiments actually run.
+//! the shapes the experiments actually run, and one whole LeNet-5
+//! training step.
 
+use cn_data::synthetic_mnist;
 use cn_nn::layers::Conv2d;
+use cn_nn::loss::softmax_cross_entropy;
+use cn_nn::optim::{Adam, Optimizer};
+use cn_nn::zoo::{lenet5, LeNetConfig};
 use cn_nn::Layer;
 use cn_tensor::ops::{col2im, conv2d_backward, im2col, nchw_to_rows, Conv2dGeometry};
 use cn_tensor::{SeededRng, Tensor};
+use correctnet::compensation::{apply_compensation, freeze_all_but_compensation, CompensationPlan};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -142,6 +148,32 @@ fn bench_noise_mask_application(c: &mut Criterion) {
     group.finish();
 }
 
+/// One LeNet-5 training step at batch 32: forward, loss, backward and an
+/// Adam step. `32` is a stage-1 step on the plain network; `32_stage4`
+/// is a compensator-training step, with layers 0 and 1 compensated
+/// (ratio 0.5) and the base frozen.
+fn bench_lenet_train_step(c: &mut Criterion) {
+    let batch = synthetic_mnist(32, 1, 6).train;
+    let base = lenet5(&LeNetConfig::mnist(7));
+    let mut stage4 = apply_compensation(&base, &CompensationPlan::uniform(&[0, 1], 0.5), 8);
+    freeze_all_but_compensation(&mut stage4);
+    let mut group = c.benchmark_group("lenet_train_step");
+    for (id, mut model, train_mode) in [("32", base, true), ("32_stage4", stage4, false)] {
+        let mut opt = Adam::new(1e-3);
+        group.bench_function(id, |b| {
+            b.iter(|| {
+                model.zero_grad();
+                let logits = model.forward(&batch.images, train_mode);
+                let (loss, grad) = softmax_cross_entropy(&logits, &batch.labels);
+                model.backward(&grad);
+                opt.step(&mut model.params_mut());
+                black_box(loss)
+            });
+        });
+    }
+    group.finish();
+}
+
 fn quick_criterion() -> Criterion {
     // CI-friendly budget: enough samples for stable medians on
     // these micro-kernels without multi-minute runs.
@@ -158,7 +190,8 @@ criterion_group! {
     bench_conv_forward,
     bench_conv_backward,
     bench_conv_backward_kernel,
-    bench_noise_mask_application
+    bench_noise_mask_application,
+    bench_lenet_train_step
 
 }
 criterion_main!(benches);

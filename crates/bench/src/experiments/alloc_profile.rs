@@ -9,12 +9,12 @@
 //! `cn-serve/tests/zero_alloc_serve.rs`). This experiment is the
 //! observability side of the same harness: it reports allocs/request at
 //! whatever thread count the process runs with, so a regression shows up
-//! as a number, not just a failed assertion. The serve-worker row is zero
-//! at any `CN_THREADS`: serve workers are `cn_tensor::parallel` workers,
-//! so their 32-row batches run inline. Only the calling-thread (engine)
-//! rows fan out with more than one GEMM thread, handing work to
-//! `thread::scope`, which allocates by design — the report stamps the
-//! thread count so those numbers stay interpretable.
+//! as a number, not just a failed assertion. Every row is zero at any
+//! `CN_THREADS`: serve workers are `cn_tensor::parallel` workers, so
+//! their 32-row batches run inline, and the engine rows' fan-out hands
+//! shares to the module's persistent pool, which allocates nothing per
+//! call. The engine rows count the calling thread; `zero_alloc_infer`
+//! pins the same paths at two threads with every thread counted.
 //!
 //! Counting requires the binary to install [`CountingHeap`] as its
 //! global allocator; `cn-experiments` does. When it is absent (e.g. a
@@ -199,19 +199,10 @@ impl Experiment for AllocProfile {
             &["path", "requests", "allocs", "allocs/req", "bytes"],
             rows,
         );
-        report.note("The serve worker row is contractually zero at any thread count:");
-        report.note("serve workers never fan out (zero_alloc_serve pins it).");
-        if threads == 1 {
-            report.note("Single-thread run: the engine rows are contractually zero too;");
-            report.note("nonzero means the zero-alloc refactor regressed (zero_alloc_infer");
-            report.note("pins the same contract).");
-        } else {
-            report.note(format!(
-                "{threads} GEMM threads: the engine rows run on the calling thread, whose"
-            ));
-            report.note("fan-out hands work to thread::scope, which allocates by design.");
-            report.note("Set CN_THREADS=1 to check their zero contract.");
-        }
+        report.note("Every row is contractually zero at any thread count: serve workers");
+        report.note("never fan out (zero_alloc_serve pins it), and the engine rows' fan-out");
+        report.note("runs on the persistent kernel pool (zero_alloc_infer pins it at two");
+        report.note("threads). Nonzero means the zero-alloc refactor regressed.");
         report
     }
 }

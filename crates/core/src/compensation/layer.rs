@@ -124,6 +124,41 @@ impl Compensated {
         self.compensator.set_frozen(frozen);
     }
 
+    /// The backward pass behind both [`Layer`] hooks; returns the input
+    /// gradient when `input_grad`. Without it, the generator's input
+    /// gradient feeds only the base, so a frozen base is skipped
+    /// entirely and the generator computes its parameter gradients only.
+    fn backward_with(&mut self, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
+        let cache = self
+            .cache
+            .take()
+            .expect("Compensated::backward called before forward");
+        let (l, n, m) = (self.l, self.n, self.m);
+
+        let g_comp_in = self.compensator.backward(grad_out);
+        let parts = split_channels(&g_comp_in, &[n, m]);
+        let (g_y_direct, g_comp_data) = (&parts[0], &parts[1]);
+        if !input_grad && self.base.params().iter().all(|p| p.is_frozen()) {
+            self.generator.backward_params(g_comp_data);
+            return None;
+        }
+
+        let g_gen_in = self.generator.backward(g_comp_data);
+        let parts = split_channels(&g_gen_in, &[l, n]);
+        let (g_x_via_gen, g_y_via_gen) = (&parts[0], &parts[1]);
+
+        let g_y = g_y_direct + g_y_via_gen;
+        if !input_grad {
+            self.base.backward_params(&g_y);
+            return None;
+        }
+        let g_x_base = self.base.backward(&g_y);
+        Some(match cache.pooled_from {
+            Some(in_dims) => &g_x_base + &avg_pool_to_backward(g_x_via_gen, &in_dims),
+            None => &g_x_base + g_x_via_gen,
+        })
+    }
+
     /// The inference dataflow up to the compensator's input:
     /// `concat(y, generator(concat(pool(x), y)))`.
     fn compensator_input(&self, x: &Tensor) -> Tensor {
@@ -167,26 +202,12 @@ impl Layer for Compensated {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self
-            .cache
-            .take()
-            .expect("Compensated::backward called before forward");
-        let (l, n, m) = (self.l, self.n, self.m);
+        self.backward_with(grad_out, true)
+            .expect("the input gradient was requested")
+    }
 
-        let g_comp_in = self.compensator.backward(grad_out);
-        let parts = split_channels(&g_comp_in, &[n, m]);
-        let (g_y_direct, g_comp_data) = (&parts[0], &parts[1]);
-
-        let g_gen_in = self.generator.backward(g_comp_data);
-        let parts = split_channels(&g_gen_in, &[l, n]);
-        let (g_x_via_gen, g_y_via_gen) = (&parts[0], &parts[1]);
-
-        let g_y = g_y_direct + g_y_via_gen;
-        let g_x_base = self.base.backward(&g_y);
-        match cache.pooled_from {
-            Some(in_dims) => &g_x_base + &avg_pool_to_backward(g_x_via_gen, &in_dims),
-            None => &g_x_base + g_x_via_gen,
-        }
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backward_with(grad_out, false);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -458,6 +479,67 @@ mod tests {
         let (analog, digital) = w.macs(&[1, 10], &[1, 8]);
         assert_eq!(analog, 80);
         assert_eq!(digital, 2 * 18 + 8 * 10);
+    }
+
+    /// `Sequential::backward` runs a compensated first layer without its
+    /// input gradient. With the base frozen (stage 4) it skips the base
+    /// entirely, and with the base trainable it runs the base's
+    /// parameter gradients only; either way every parameter gradient is
+    /// bitwise the one the full layer-by-layer chain accumulates, and a
+    /// frozen base's stay zero.
+    #[test]
+    fn first_layer_grads_match_the_full_chain() {
+        use crate::compensation::{
+            apply_compensation, freeze_all_but_compensation, CompensationPlan,
+        };
+        use cn_nn::zoo::{lenet5, LeNetConfig};
+        use cn_nn::Sequential;
+
+        let grads = |m: &mut Sequential| -> Vec<Vec<u32>> {
+            m.params_mut()
+                .iter()
+                .map(|p| p.grad.data().iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        let mut rng = SeededRng::new(31);
+        let x = rng.normal_tensor(&[3, 1, 28, 28], 0.0, 1.0);
+        let g = rng.normal_tensor(&[3, 10], 0.0, 1.0);
+        let base = lenet5(&LeNetConfig::mnist(32));
+        let mut model = apply_compensation(&base, &CompensationPlan::uniform(&[0, 1], 0.5), 33);
+        // Off the identity init, so every compensation gradient is live.
+        for p in model.params_mut() {
+            if p.name.starts_with("comp_") {
+                p.value = rng.normal_tensor(p.value.dims(), 0.0, 0.3);
+            }
+        }
+        for frozen_base in [true, false] {
+            let mut chain = model.clone();
+            if frozen_base {
+                freeze_all_but_compensation(&mut chain);
+            }
+            let mut skipped = chain.clone();
+            chain.forward(&x, false);
+            let mut gx = g.clone();
+            for i in (0..chain.len()).rev() {
+                gx = chain.layer_mut(i).backward(&gx);
+            }
+            skipped.forward(&x, false);
+            skipped.backward(&g);
+            assert_eq!(
+                grads(&mut skipped),
+                grads(&mut chain),
+                "frozen base: {frozen_base}"
+            );
+            let first = skipped.layer_mut(0);
+            let comp_grads = first
+                .params()
+                .iter()
+                .filter(|p| p.name.starts_with("gen_") || p.name.starts_with("comp_"))
+                .all(|p| p.grad.abs_max() > 0.0);
+            assert!(comp_grads, "generator and compensator gradients are live");
+            let base_grads = first.params()[..2].iter().all(|p| p.grad.abs_max() > 0.0);
+            assert_eq!(base_grads, !frozen_base);
+        }
     }
 
     fn hash_bits<'a>(tensors: impl IntoIterator<Item = &'a Tensor>) -> u64 {

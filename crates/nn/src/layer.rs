@@ -12,7 +12,9 @@ use cn_tensor::Tensor;
 ///    pass needs (inputs, masks, patch matrices…),
 /// 2. [`Layer::backward`] consumes the gradient w.r.t. the layer's output,
 ///    **accumulates** parameter gradients into its [`Param`]s, and returns
-///    the gradient w.r.t. its input.
+///    the gradient w.r.t. its input. [`Layer::backward_params`] does the
+///    same without the input gradient, for the first layer of a network,
+///    whose input gradient nobody reads.
 ///
 /// `backward` must be called after a matching `forward` (checked with
 /// panics, since this is a programming error).
@@ -79,7 +81,22 @@ pub trait Layer: Send + Sync {
 
     /// Backpropagates `grad_out`, accumulating parameter gradients and
     /// returning the input gradient.
+    ///
+    /// A layer may skip the gradients of parameters that are all frozen
+    /// (they stay as they were, zero after
+    /// [`Sequential::zero_grad`](crate::Sequential::zero_grad)); every
+    /// gradient it does compute, and the input gradient, are bitwise the
+    /// same as with the parameters unfrozen.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+
+    /// [`backward`](Layer::backward) without the input gradient: only the
+    /// parameter gradients are accumulated.
+    /// [`Sequential::backward`](crate::Sequential::backward) calls it on
+    /// its first layer. The default runs `backward` and drops the result;
+    /// layers whose input gradient costs real work override it.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backward(grad_out);
+    }
 
     /// Mutable access to all trainable parameters.
     fn params_mut(&mut self) -> Vec<&mut Param> {

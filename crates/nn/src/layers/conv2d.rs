@@ -77,6 +77,46 @@ impl Conv2d {
         }
     }
 
+    /// The backward pass behind both [`Layer`] hooks. dW and db are
+    /// skipped when both parameters are frozen, and dX unless
+    /// `input_grad` (an empty tensor is returned then).
+    fn backward_with(&mut self, grad_out: &Tensor, input_grad: bool) -> Tensor {
+        let x = self
+            .cache_x
+            .take()
+            .expect("Conv2d::backward called before forward");
+        let geo = self.cache_geo.take().expect("geometry cache missing");
+        let params = !(self.w.is_frozen() && self.b.is_frozen());
+        let sized = |wanted: bool, dims: &[usize]| {
+            if wanted {
+                Tensor::zeros(dims)
+            } else {
+                Tensor::default()
+            }
+        };
+        let mut dw = sized(params, self.w.value.dims());
+        let mut db = sized(params, self.b.value.dims());
+        let mut dx = sized(input_grad, x.dims());
+        conv2d_backward(
+            &x,
+            &geo,
+            self.effective_weight_matrix().data(),
+            grad_out,
+            dw.data_mut(),
+            db.data_mut(),
+            dx.data_mut(),
+        );
+        if params {
+            // The weight gradient chains through the noise mask.
+            if let Some(mask) = &self.noise {
+                dw = dw.zip_map(mask, |g, m| g * m);
+            }
+            self.w.accumulate(&dw);
+            self.b.accumulate(&db);
+        }
+        dx
+    }
+
     /// Input channel count.
     pub fn in_channels(&self) -> usize {
         self.w.value.dims()[1]
@@ -174,30 +214,11 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .cache_x
-            .take()
-            .expect("Conv2d::backward called before forward");
-        let geo = self.cache_geo.take().expect("geometry cache missing");
-        let mut dw = Tensor::zeros(self.w.value.dims());
-        let mut db = Tensor::zeros(self.b.value.dims());
-        let mut dx = Tensor::zeros(x.dims());
-        conv2d_backward(
-            &x,
-            &geo,
-            self.effective_weight_matrix().data(),
-            grad_out,
-            dw.data_mut(),
-            db.data_mut(),
-            dx.data_mut(),
-        );
-        // The weight gradient chains through the noise mask.
-        if let Some(mask) = &self.noise {
-            dw = dw.zip_map(mask, |g, m| g * m);
-        }
-        self.w.accumulate(&dw);
-        self.b.accumulate(&db);
-        dx
+        self.backward_with(grad_out, true)
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backward_with(grad_out, false);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -330,6 +351,34 @@ mod tests {
         assert_eq!(gx.dims(), x.dims());
         assert!(conv.w.grad.abs_max() > 0.0);
         assert!(conv.b.grad.abs_max() > 0.0);
+    }
+
+    /// A frozen convolution skips dW and db, leaving its gradients at
+    /// zero, and returns the unfrozen layer's dX bit for bit, noise mask
+    /// included; with only dX skipped, dW and db are the unfrozen ones.
+    #[test]
+    fn frozen_backward_skips_param_grads_and_keeps_dx() {
+        let mut rng = SeededRng::new(11);
+        let mut conv = Conv2d::new(2, 4, 3, 2, 1, &mut rng);
+        conv.set_noise(Some(rng.lognormal_mask(&[4, 2, 3, 3], 0.5)));
+        let x = rng.normal_tensor(&[3, 2, 7, 7], 0.0, 1.0);
+        let mut frozen = conv.clone();
+        frozen.set_frozen(true);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let g = rng.normal_tensor(conv.forward(&x, true).dims(), 0.0, 1.0);
+        let gx = conv.backward(&g);
+        frozen.forward(&x, true);
+        assert_eq!(bits(&frozen.backward(&g)), bits(&gx));
+        assert!(frozen.params().iter().all(|p| p.grad.abs_max() == 0.0));
+
+        let mut params_only = conv.clone();
+        for p in params_only.params_mut() {
+            p.zero_grad();
+        }
+        params_only.forward(&x, true);
+        params_only.backward_params(&g);
+        assert_eq!(bits(&params_only.w.grad), bits(&conv.w.grad));
+        assert_eq!(bits(&params_only.b.grad), bits(&conv.b.grad));
     }
 
     #[test]

@@ -72,6 +72,25 @@ impl Dense {
         self.w.value.dims()[0]
     }
 
+    /// Accumulates dW and db for `grad_out`, unless both parameters are
+    /// frozen.
+    fn param_grads(&mut self, grad_out: &Tensor) {
+        let x = self
+            .cache_x
+            .take()
+            .expect("Dense::backward called before forward");
+        if self.w.is_frozen() && self.b.is_frozen() {
+            return;
+        }
+        // dW_eff = gᵀ·x ; chain through the noise mask for nominal weights.
+        let mut dw = grad_out.t_matmul(&x);
+        if let Some(mask) = &self.noise {
+            dw = dw.zip_map(mask, |g, m| g * m);
+        }
+        self.w.accumulate(&dw);
+        self.b.accumulate(&grad_out.sum_rows());
+    }
+
     fn effective_weight(&self) -> Tensor {
         match &self.noise {
             Some(mask) => self.w.value.zip_map(mask, |w, m| w * m),
@@ -124,18 +143,12 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .cache_x
-            .take()
-            .expect("Dense::backward called before forward");
-        // dW_eff = gᵀ·x ; chain through the noise mask for nominal weights.
-        let mut dw = grad_out.t_matmul(&x);
-        if let Some(mask) = &self.noise {
-            dw = dw.zip_map(mask, |g, m| g * m);
-        }
-        self.w.accumulate(&dw);
-        self.b.accumulate(&grad_out.sum_rows());
+        self.param_grads(grad_out);
         grad_out.matmul(&self.effective_weight())
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.param_grads(grad_out);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -261,6 +274,34 @@ mod tests {
         assert_eq!(&l.w.grad.data()[0..3], &[1.0, 2.0, 3.0]);
         assert_eq!(&l.w.grad.data()[3..6], &[4.0, 5.0, 6.0]);
         assert_eq!(l.b.grad.data(), &[1.0, 1.0]);
+    }
+
+    /// A frozen dense layer skips dW and db, leaving its gradients at
+    /// zero, and returns the unfrozen layer's dX bit for bit, noise mask
+    /// included; with only dX skipped, dW and db are the unfrozen ones.
+    #[test]
+    fn frozen_backward_skips_param_grads_and_keeps_dx() {
+        let mut rng = SeededRng::new(12);
+        let mut l = Dense::new(9, 5, &mut rng);
+        l.set_noise(Some(rng.lognormal_mask(&[5, 9], 0.5)));
+        let x = rng.normal_tensor(&[4, 9], 0.0, 1.0);
+        let mut frozen = l.clone();
+        frozen.set_frozen(true);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let g = rng.normal_tensor(l.forward(&x, true).dims(), 0.0, 1.0);
+        let gx = l.backward(&g);
+        frozen.forward(&x, true);
+        assert_eq!(bits(&frozen.backward(&g)), bits(&gx));
+        assert!(frozen.params().iter().all(|p| p.grad.abs_max() == 0.0));
+
+        let mut params_only = l.clone();
+        for p in params_only.params_mut() {
+            p.zero_grad();
+        }
+        params_only.forward(&x, true);
+        params_only.backward_params(&g);
+        assert_eq!(bits(&params_only.w.grad), bits(&l.w.grad));
+        assert_eq!(bits(&params_only.b.grad), bits(&l.b.grad));
     }
 
     #[test]

@@ -161,14 +161,19 @@ impl Sequential {
         outs
     }
 
-    /// Backpropagates from the output gradient to the input gradient,
-    /// accumulating parameter gradients along the way.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
+    /// Backpropagates the output gradient through every layer,
+    /// accumulating parameter gradients. The network's input gradient is
+    /// never read, so it is not computed: the first layer runs
+    /// [`Layer::backward_params`].
+    pub fn backward(&mut self, grad_out: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut g = None;
+        for layer in rest.iter_mut().rev() {
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad_out)));
         }
-        g
+        first.backward_params(g.as_ref().unwrap_or(grad_out));
     }
 
     /// All parameters, prefixed with their layer's unique name.
@@ -412,8 +417,40 @@ mod tests {
         let x = rng.normal_tensor(&[5, 4], 0.0, 1.0);
         let y = m.forward(&x, true);
         assert_eq!(y.dims(), &[5, 3]);
-        let gx = m.backward(&Tensor::ones(&[5, 3]));
-        assert_eq!(gx.dims(), &[5, 4]);
+        m.backward(&Tensor::ones(&[5, 3]));
+        for p in m.params_mut() {
+            assert_eq!(p.grad.dims(), p.value.dims());
+        }
+        // The first layer's parameters got their gradient too.
+        assert!(m.layers[0].params()[0].grad.abs_max() > 0.0);
+    }
+
+    /// `backward` skips only the network's input gradient: on LeNet-5,
+    /// every parameter gradient is bitwise the one the full
+    /// layer-by-layer chain (input gradient included) accumulates.
+    #[test]
+    fn backward_matches_the_full_layer_chain_bitwise() {
+        use crate::zoo::{lenet5, LeNetConfig};
+        let mut rng = SeededRng::new(21);
+        let x = rng.normal_tensor(&[4, 1, 28, 28], 0.0, 1.0);
+        let g = rng.normal_tensor(&[4, 10], 0.0, 1.0);
+        let grads = |m: &mut Sequential| -> Vec<Vec<u32>> {
+            m.params_mut()
+                .iter()
+                .map(|p| p.grad.data().iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        let mut chain = lenet5(&LeNetConfig::mnist(22));
+        let mut skipped = chain.clone();
+        chain.forward(&x, true);
+        let mut gx = g.clone();
+        for i in (0..chain.len()).rev() {
+            gx = chain.layer_mut(i).backward(&gx);
+        }
+        assert_eq!(gx.dims(), x.dims());
+        skipped.forward(&x, true);
+        skipped.backward(&g);
+        assert_eq!(grads(&mut skipped), grads(&mut chain));
     }
 
     #[test]

@@ -6,9 +6,10 @@ use cn_tensor::Tensor;
 ///
 /// Freezing supports the CorrectNet compensator-training phase, in which
 /// the base network's weights are fixed ("non-trainable", paper Sec. III-B)
-/// while generator/compensator weights continue to learn: layers still
-/// compute gradients for frozen parameters (they are cheap by-products),
-/// but optimizers skip them.
+/// while generator/compensator weights continue to learn. Optimizers skip
+/// frozen parameters, and `Conv2d` and `Dense` skip computing their weight
+/// and bias gradients when both are frozen: that pass costs as much as the
+/// input gradient, so a frozen parameter's `grad` is left as it was.
 #[derive(Debug, Clone)]
 pub struct Param {
     /// Parameter name, unique within its layer (e.g. `"weight"`).

@@ -6,10 +6,10 @@
 //! Dedicated test binary: installs [`CountingHeap`] as the global
 //! allocator and watches the `cn-serve-worker-*` thread counters from
 //! the client thread. Single `#[test]` so `CN_THREADS=2` lands before
-//! the first tensor op: with two GEMM threads, a worker whose batch GEMM
-//! fanned out through `thread::scope` would allocate per batch. Serve
-//! workers are `cn_tensor::parallel` workers, so their kernels run
-//! inline at any `max_batch`.
+//! the first tensor op: with two GEMM threads, a 32-row batch GEMM
+//! would fan out if the worker did not. Serve workers are
+//! `cn_tensor::parallel` workers, so their kernels run inline at any
+//! `max_batch`.
 
 use cn_analog::engine::EngineBuilder;
 use cn_nn::zoo::mlp;

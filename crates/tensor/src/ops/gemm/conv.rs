@@ -44,15 +44,14 @@ use crate::parallel::parallel_chunks_mut;
 use crate::tensor::Tensor;
 
 thread_local! {
-    /// Recycled B-panel gather scratch. One buffer per thread: calls
-    /// that run inline (single-threaded callers, and nested calls inside
-    /// a `cn_tensor::parallel` worker) reuse it warm; a fanned-out call's
-    /// scoped worker threads are fresh, so each of them allocates its
-    /// own once for that call.
+    /// Recycled B-panel gather scratch. One buffer per thread, warm on
+    /// every thread: inline callers, the `cn_tensor::parallel` pool
+    /// helpers and the caller's own shares all keep theirs from one call
+    /// to the next, so each grows once, to its high-water size.
     static B_PANEL: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
 
-    /// Recycled backward scratch, with the same lifetime rules as
-    /// `B_PANEL`: the weight gradient's patch rows and B panels, or one image's
+    /// Recycled backward scratch, warm on every thread like `B_PANEL`:
+    /// the weight gradient's patch rows and B panels, or one image's
     /// `Wᵀ·dY` product and B panels for the input gradient.
     static GRAD_SCRATCH: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
 }
@@ -177,7 +176,8 @@ fn pack_patch_panel(x: &[f32], geo: &Conv2dGeometry, p0: usize, cols: usize, pan
 /// Gradients of `y = conv(x, W) + b` for the output gradient `dy`,
 /// written into the caller's buffers: `dw` `[oc, C·kh·kw]` and `db`
 /// `[oc]` (the gradients of `w` and the bias), and `dx` shaped like `x`.
-/// Every element is overwritten.
+/// Every element is overwritten. An empty `dw`, `db` or `dx` skips that
+/// gradient, so a caller pays only for the gradients it reads.
 ///
 /// `w` is the row-major `[oc, C·kh·kw]` weight matrix the forward pass
 /// used. Each output is bitwise identical to the `im2col`/`col2im` chain
@@ -186,8 +186,8 @@ fn pack_patch_panel(x: &[f32], geo: &Conv2dGeometry, p0: usize, cols: usize, pan
 /// # Panics
 ///
 /// Panics if `x` is not rank-4 or disagrees with `geo`, if `dy` is not
-/// `[N, oc, oh, ow]` with `oc = db.len()`, or if `w`, `dw` or `dx` have
-/// the wrong length.
+/// `[N, oc, oh, ow]`, if `w` is not `oc × C·kh·kw`, or if a non-empty
+/// `dw`, `db` or `dx` has the wrong length.
 pub fn conv2d_backward(
     x: &Tensor,
     geo: &Conv2dGeometry,
@@ -204,17 +204,24 @@ pub fn conv2d_backward(
         (geo.in_c, geo.in_h, geo.in_w),
         "geometry mismatch"
     );
-    let (oc, k) = (db.len(), geo.patch_len());
+    assert_eq!(dy.rank(), 4, "conv2d_backward: output gradient shape");
+    let (oc, k) = (dy.dims()[1], geo.patch_len());
     assert_eq!(
         dy.dims(),
         &[d[0], oc, geo.out_h(), geo.out_w()],
         "conv2d_backward: output gradient shape"
     );
     assert_eq!(w.len(), oc * k, "conv2d_backward: weights are not {oc}×{k}");
-    assert_eq!(dw.len(), oc * k, "conv2d_backward: dw is not {oc}×{k}");
-    assert_eq!(
-        dx.len(),
-        x.numel(),
+    assert!(
+        dw.is_empty() || dw.len() == oc * k,
+        "conv2d_backward: dw is not {oc}×{k}"
+    );
+    assert!(
+        db.is_empty() || db.len() == oc,
+        "conv2d_backward: db does not hold {oc} channels"
+    );
+    assert!(
+        dx.is_empty() || dx.len() == x.numel(),
         "conv2d_backward: dx is not shaped like x"
     );
     let path = kernel::select_path();

@@ -50,8 +50,8 @@ pub const MR: usize = 8;
 /// Columns of the register accumulator tile.
 pub const NR: usize = 8;
 
-/// Minimum output rows per spawned chunk; below this the spawn overhead
-/// dominates the arithmetic.
+/// Minimum output rows per parallel chunk; below this the dispatch
+/// overhead dominates the arithmetic.
 const MIN_ROWS_PER_CHUNK: usize = 8;
 
 /// Row-block height per parallel chunk: even split over the workers,
@@ -171,12 +171,10 @@ pub fn gemm_into(
 }
 
 thread_local! {
-    /// Recycled A-panel packing scratch. One buffer per thread: calls
-    /// that run inline (single-threaded callers, and nested calls inside
-    /// a `cn_tensor::parallel` worker) pack into warm memory after one
-    /// allocation at their high-water size; a fanned-out call's scoped
-    /// worker threads are fresh, so each of them allocates its own once
-    /// for that call.
+    /// Recycled A-panel packing scratch. One buffer per thread, warm on
+    /// every thread: inline callers, the `cn_tensor::parallel` pool
+    /// helpers and the caller's own shares all pack into memory that
+    /// grew once, to its high-water size.
     static A_PANELS: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
